@@ -65,9 +65,8 @@
 // Running everything takes a few minutes; use -kernels to restrict the set.
 // Sweeps run in partial-results mode: a failing (kernel, machine) pair
 // renders as a per-row error instead of aborting the experiment, kernels
-// that fail to prepare are reported on stderr and skipped, transiently
-// failing runs are retried with exponential backoff, and a run that fails
-// repeatedly trips a circuit breaker into a typed skip row.
+// that fail to prepare are reported on stderr and skipped, and each run
+// executes once: a failure, including a watchdog expiry, is one error row.
 //
 // The faults experiment injects every fault class (corrupt slice masks,
 // bogus trigger PCs, truncated live-in sets, flipped opcode bits in the

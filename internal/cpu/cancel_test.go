@@ -37,44 +37,54 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelPreemptsRunningSim cancels the context from inside
-// the simulation (via the Interrupt poll, which fires every 8K cycles
-// without requesting an abort itself) and asserts the context check
-// preempts the run within its 64K-cycle polling bound instead of letting
-// the loop run to completion.
+// cancelAfterFirstPoll is a context whose first Err poll (the sim's
+// cycle-0 check) reports it live and then cancels it, so the
+// cancellation lands while the simulation is mid-flight.
+type cancelAfterFirstPoll struct {
+	context.Context
+	cancel context.CancelFunc
+	polled bool
+}
+
+func (c *cancelAfterFirstPoll) Err() error {
+	err := c.Context.Err()
+	if !c.polled {
+		c.polled = true
+		c.cancel()
+	}
+	return err
+}
+
+// TestRunContextCancelPreemptsRunningSim cancels the context after the
+// simulation has started (right after its cycle-0 poll) and asserts the
+// context check preempts the run at the next 64K-cycle poll instead of
+// letting the loop run to completion.
 func TestRunContextCancelPreemptsRunningSim(t *testing.T) {
 	p := assemble(t, longLoop)
-	ctx, cancel := context.WithCancel(context.Background())
+	inner, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := fastConfig()
-	polls := 0
-	cfg.Interrupt = func() bool {
-		polls++
-		if polls == 4 { // ~24K cycles in: the sim is mid-flight
-			cancel()
-		}
-		return false
-	}
-	_, err := RunContext(ctx, p, cfg)
+	ctx := &cancelAfterFirstPoll{Context: inner, cancel: cancel}
+	_, err := RunContext(ctx, p, fastConfig())
 	if !errors.Is(err, ErrInterrupted) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrInterrupted wrapping context.Canceled", err)
 	}
-	// Cancellation at ~24K cycles must be seen by the 64K-cycle poll, so
+	// Cancellation after cycle 0 must be seen by the 64K-cycle poll, so
 	// the run dies at cycle 65536 — far before the loop's natural end.
 	if !strings.Contains(err.Error(), "at cycle 65536 ") {
 		t.Errorf("err = %v, want abort at the first 64K-cycle poll after cancellation", err)
 	}
 }
 
-// TestRunContextDeadlinePreemptsAtPoll gives a long simulation a short
-// wall-clock deadline and asserts the typed contract a deadline-bearing
-// caller (speard, via internal/sched) depends on: the error matches both
-// ErrInterrupted and context.DeadlineExceeded, and the run stops at a
-// 64K-cycle poll boundary rather than some arbitrary cycle — the
-// cooperative-cancellation guarantee that bounds how far a run can
-// overshoot its deadline.
+// TestRunContextDeadlinePreemptsAtPoll stops a long simulation from
+// outside the cycle loop — by a short wall-clock deadline, and by a
+// cancel from another goroutine — and asserts the typed contract a
+// deadline-bearing caller (speard via internal/sched, the harness
+// watchdog) depends on: the error matches ErrInterrupted and the
+// context's own error, and the run stops at a 64K-cycle poll boundary
+// rather than some arbitrary cycle — the cooperative-cancellation
+// guarantee that bounds how far a run can overshoot its deadline.
 func TestRunContextDeadlinePreemptsAtPoll(t *testing.T) {
-	// A loop two orders of magnitude longer than longLoop: the deadline
+	// A loop two orders of magnitude longer than longLoop: the context
 	// must be what stops it, not the loop bound.
 	p := assemble(t, `
 main:   li r1, 0
@@ -83,31 +93,51 @@ loop:   addi r1, r1, 1
         blt r1, r2, loop
         halt
 `)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := RunContext(ctx, p, fastConfig())
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
+	cases := []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+		want error
+	}{
+		{"deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 50*time.Millisecond)
+		}, context.DeadlineExceeded},
+		{"cancel-from-goroutine", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(50*time.Millisecond, cancel)
+			return ctx, cancel
+		}, context.Canceled},
 	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want to also match context.DeadlineExceeded", err)
-	}
-	// The sim must stop at the next 64K-cycle poll after expiry, so the
-	// reported cycle is a multiple of 65536 (and not the cycle-0 poll:
-	// the deadline was live when the run began).
-	var cycle uint64
-	if _, serr := fmt.Sscanf(err.Error()[strings.Index(err.Error(), "at cycle "):], "at cycle %d", &cycle); serr != nil {
-		t.Fatalf("err %q carries no parseable cycle count: %v", err, serr)
-	}
-	if cycle == 0 || cycle%65536 != 0 {
-		t.Errorf("aborted at cycle %d, want a nonzero multiple of 65536 (the poll interval)", cycle)
-	}
-	// Wall-clock sanity: preemption is prompt, not after the 400M-iteration
-	// loop finishes. Generous bound for slow CI machines.
-	if elapsed > 10*time.Second {
-		t.Errorf("preemption took %s, want well under 10s", elapsed)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := tc.ctx()
+			defer cancel()
+			start := time.Now()
+			_, err := RunContext(ctx, p, fastConfig())
+			elapsed := time.Since(start)
+			if !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("err = %v, want ErrInterrupted", err)
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want to also match %v", err, tc.want)
+			}
+			// The sim must stop at the next 64K-cycle poll after the
+			// context ends, so the reported cycle is a multiple of 65536
+			// (and not the cycle-0 poll: the context was live when the
+			// run began).
+			var cycle uint64
+			if _, serr := fmt.Sscanf(err.Error()[strings.Index(err.Error(), "at cycle "):], "at cycle %d", &cycle); serr != nil {
+				t.Fatalf("err %q carries no parseable cycle count: %v", err, serr)
+			}
+			if cycle == 0 || cycle%65536 != 0 {
+				t.Errorf("aborted at cycle %d, want a nonzero multiple of 65536 (the poll interval)", cycle)
+			}
+			// Wall-clock sanity: preemption is prompt, not after the
+			// 400M-iteration loop finishes. Generous bound for slow CI
+			// machines.
+			if elapsed > 10*time.Second {
+				t.Errorf("preemption took %s, want well under 10s", elapsed)
+			}
+		})
 	}
 }
 

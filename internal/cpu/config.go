@@ -116,11 +116,6 @@ type Config struct {
 	// MaxCycles aborts a run that stopped making progress.
 	MaxCycles uint64
 
-	// Interrupt, when non-nil, is polled periodically (every few thousand
-	// cycles); when it returns true the run aborts with ErrInterrupted.
-	// The harness uses it as a wall-clock watchdog.
-	Interrupt func() bool
-
 	// Trace, when non-nil, receives a per-event pipeline trace for the
 	// first TraceCycles cycles (see internal/cpu/trace.go).
 	Trace       io.Writer

@@ -327,15 +327,6 @@ func TestDivergenceDetected(t *testing.T) {
 	}
 }
 
-func TestInterrupt(t *testing.T) {
-	p := assemble(t, corePrograms["counted loop"])
-	cfg := fastConfig()
-	cfg.Interrupt = func() bool { return true }
-	if _, err := Run(p, cfg); !errors.Is(err, ErrInterrupted) {
-		t.Errorf("err = %v, want ErrInterrupted", err)
-	}
-}
-
 func TestValidationErrorsWrapped(t *testing.T) {
 	p := assemble(t, corePrograms["straightline"])
 	cfg := fastConfig()

@@ -35,7 +35,8 @@ var ErrValidation = errors.New("cpu: validation failed")
 // workload property.
 var ErrDivergence = errors.New("cpu: pipeline diverged from the oracle")
 
-// ErrInterrupted is returned when Config.Interrupt requested an abort.
+// ErrInterrupted is returned when the run's context ends (cancelled or
+// past its deadline).
 var ErrInterrupted = errors.New("cpu: run interrupted")
 
 // entry states.
@@ -279,11 +280,10 @@ func Run(p *prog.Program, cfg Config) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation: the context is polled
-// inside the cycle loop (every 64K cycles, alongside the coarser
-// Config.Interrupt hook), so cancellation preempts even a runaway
-// simulation within a bounded cycle count rather than waiting for a
-// wall-clock watchdog. The returned error wraps both ErrInterrupted and
-// the context's error, so errors.Is matches either.
+// inside the cycle loop (every 64K cycles), so cancellation preempts even
+// a runaway simulation within a bounded cycle count. The returned error
+// wraps both ErrInterrupted and the context's error, so errors.Is
+// matches either.
 func RunContext(ctx context.Context, p *prog.Program, cfg Config) (*Result, error) {
 	wallStart := perf.Now()
 	s, err := newSim(p, cfg)
@@ -425,7 +425,7 @@ func newSim(p *prog.Program, cfg Config) (*sim, error) {
 }
 
 // runLoop steps the machine to completion, aborting on MaxCycles (with a
-// diagnostic dump) or an interrupt request.
+// diagnostic dump) or on context cancellation.
 func (s *sim) runLoop() error {
 	for !s.done() {
 		if s.cycle >= s.cfg.MaxCycles {
@@ -435,10 +435,6 @@ func (s *sim) runLoop() error {
 				Retired:   s.oracle.Count,
 				Dump:      s.dumpState(),
 			}
-		}
-		if s.cfg.Interrupt != nil && s.cycle&0x1FFF == 0 && s.cfg.Interrupt() {
-			return fmt.Errorf("%w at cycle %d (%d/%d instructions committed)",
-				ErrInterrupted, s.cycle, s.res.MainCommitted, s.oracle.Count)
 		}
 		if s.ctx != nil && s.cycle&0xFFFF == 0 {
 			if cerr := s.ctx.Err(); cerr != nil {

@@ -289,12 +289,18 @@ func TestRunWatchdog(t *testing.T) {
 	}
 }
 
+// panicWriter is a trace sink that panics on its first write: a panic
+// raised from inside cpu.RunContext.
+type panicWriter struct{}
+
+func (panicWriter) Write([]byte) (int, error) { panic("boom") }
+
 func TestRunPanicIsolation(t *testing.T) {
 	opts := suite(t).Opts
 	opts.RunTimeout = 0
 	s := derivedSuite(opts, mcfPrepared(t))
 	cfg := cpu.BaselineConfig()
-	cfg.Interrupt = func() bool { panic("boom") }
+	cfg.Trace, cfg.TraceCycles = panicWriter{}, 100
 	_, err := s.Run(s.Prepared[0], cfg)
 	if err == nil || !strings.Contains(err.Error(), "panic in simulation") {
 		t.Errorf("err = %v, want recovered panic", err)

@@ -35,33 +35,30 @@ type Options struct {
 	// Parallel runs independent simulations on multiple goroutines.
 	Parallel int
 	// RunTimeout is the per-simulation wall-clock watchdog: a run that
-	// exceeds it is interrupted and reported as an error instead of
-	// wedging the whole sweep. 0 disables the watchdog.
+	// exceeds it is cancelled through its context and reported as an
+	// error instead of wedging the whole sweep. 0 disables the watchdog.
 	RunTimeout time.Duration
-	// Retry governs transient-failure retries and the per-run circuit
-	// breaker (see RetryPolicy).
-	Retry RetryPolicy
 	// Seed folds into each run's journal key so that sweeps with
 	// different seeds never collide in a shared journal directory.
 	Seed int64
-	// FaultHook, when non-nil, is called before every run attempt; a
-	// non-nil return fails that attempt with a transient injected error.
-	// It exists to exercise the retry/breaker/resume machinery in tests
-	// and fault drills and is never set in normal operation.
-	FaultHook func(kernel, config string, attempt int) error
+	// FaultHook, when non-nil, is called once before every run; a
+	// non-nil return fails that run with an ordinary error row. It exists
+	// to exercise the memo/journal/resume machinery in tests and fault
+	// drills and is never set in normal operation.
+	FaultHook func(kernel, config string) error
 	// Perf, when non-nil, turns on performance observability for every
 	// run: the registry is handed to the simulator (per-stage host-time
-	// buckets, Result.Timing), harness spans (run, attempt, retry
-	// backoff) accumulate into it, and each attempt executes under pprof
-	// labels (kernel, config, run) so CPU profiles attribute samples to
-	// their (kernel, config) pair. Nil (the default) costs one branch per
-	// run and keeps reports byte-deterministic.
+	// buckets, Result.Timing), harness spans (sweep, run) accumulate into
+	// it, and each run executes under pprof labels (kernel, config, run)
+	// so CPU profiles attribute samples to their (kernel, config) pair.
+	// Nil (the default) costs one branch per run and keeps reports
+	// byte-deterministic.
 	Perf *perf.Registry
 }
 
 // DefaultOptions returns the paper's configuration.
 func DefaultOptions() Options {
-	opts := Options{Compiler: spearcc.DefaultOptions(), Parallel: 4, RunTimeout: 5 * time.Minute, Retry: DefaultRetryPolicy(), Seed: 1}
+	opts := Options{Compiler: spearcc.DefaultOptions(), Parallel: 4, RunTimeout: 5 * time.Minute, Seed: 1}
 	// The kernels are scaled down from the paper's hundreds of millions
 	// of instructions; scale the profiling knobs accordingly. The miss
 	// threshold separates truly delinquent loads from cold-miss noise
@@ -140,16 +137,13 @@ type Suite struct {
 	// experiment built on the suite inherits graceful cancellation.
 	ctx context.Context
 
-	// mu guards the three maps below. cache memoizes finished outcomes;
+	// mu guards the two maps below. cache memoizes finished outcomes;
 	// inflight is the singleflight table — one entry per run currently
 	// executing, so concurrent callers of the same (kernel, config) pair
-	// simulate once and share the outcome; breaker holds the per-pair
-	// consecutive-failure counts the circuit breaker trips on, keyed like
-	// the memo so racing sweeps of the same pair observe one shared count.
+	// simulate once and share the outcome.
 	mu       sync.Mutex
 	cache    map[string]runOutcome
 	inflight map[string]*inflightRun
-	breaker  map[string]int
 }
 
 // inflightRun is one singleflight slot: done is closed once the leader's
@@ -161,17 +155,15 @@ type inflightRun struct {
 
 // runOutcome memoizes one simulation's result or error, so a failing
 // (kernel, config) pair is re-reported — not re-simulated — by every
-// experiment that shares the run. attempts records how many attempts the
-// run consumed under the retry policy; kernel/config/dur identify and
-// time the run for the slowest-run scan (dur is zero for outcomes
-// replayed from a journal — they were not executed here).
+// experiment that shares the run. kernel/config/dur identify and time
+// the run for the slowest-run scan (dur is zero for outcomes replayed
+// from a journal — they were not executed here).
 type runOutcome struct {
-	res      *cpu.Result
-	err      error
-	attempts int
-	kernel   string
-	config   string
-	dur      time.Duration
+	res    *cpu.Result
+	err    error
+	kernel string
+	config string
+	dur    time.Duration
 }
 
 // NewSuite prepares the selected kernels. Preparation failures are
@@ -191,7 +183,7 @@ func NewSuiteContext(ctx context.Context, opts Options) (*Suite, error) {
 			names = append(names, k.Name)
 		}
 	}
-	s := &Suite{Opts: opts, ctx: ctx, cache: map[string]runOutcome{}, inflight: map[string]*inflightRun{}, breaker: map[string]int{}, Failed: map[string]error{}}
+	s := &Suite{Opts: opts, ctx: ctx, cache: map[string]runOutcome{}, inflight: map[string]*inflightRun{}, Failed: map[string]error{}}
 	type slot struct {
 		p   *Prepared
 		err error
@@ -243,7 +235,7 @@ func NewSuiteContext(ctx context.Context, opts Options) (*Suite, error) {
 // bypassing the build/profile/compile pipeline entirely. Each program is
 // installed as a prepared kernel under its Name. It exists for tests and
 // tools (the sched and speard batteries, synthetic benchmarks) that need
-// the full run/retry/journal machinery without paying for real kernel
+// the full run/memo/journal machinery without paying for real kernel
 // preparation; production paths go through NewSuiteContext.
 func NewStaticSuite(opts Options, progs ...*prog.Program) *Suite {
 	s := &Suite{
@@ -251,7 +243,6 @@ func NewStaticSuite(opts Options, progs ...*prog.Program) *Suite {
 		ctx:      context.Background(),
 		cache:    map[string]runOutcome{},
 		inflight: map[string]*inflightRun{},
-		breaker:  map[string]int{},
 		Failed:   map[string]error{},
 	}
 	for _, p := range progs {
@@ -260,26 +251,40 @@ func NewStaticSuite(opts Options, progs ...*prog.Program) *Suite {
 	return s
 }
 
+// panicError is a simulation panic converted to an ordinary error by
+// runProtected.
+type panicError struct{ val any }
+
+func (e *panicError) Error() string { return fmt.Sprintf("panic in simulation: %v", e.val) }
+
+// errWatchdog is the cancellation cause runProtected attaches to a run's
+// RunTimeout context, telling a watchdog expiry apart from a deadline or
+// cancellation the caller imposed.
+var errWatchdog = errors.New("harness: run watchdog expired")
+
 // runProtected runs one simulation with panic isolation, cooperative
 // cancellation, and the suite's wall-clock watchdog: a panicking or
 // wedged run becomes an ordinary error on this (kernel, config) pair
-// instead of killing the process or hanging the sweep.
+// instead of killing the process or hanging the sweep. The watchdog is a
+// context timeout, so the simulator's one context poll stops the run.
+// Its error wraps cpu.ErrInterrupted but not context.DeadlineExceeded:
+// a watchdog expiry is a run failure to record, not a cooperative
+// interruption to re-execute on resume.
 func runProtected(ctx context.Context, p *prog.Program, cfg cpu.Config, timeout time.Duration) (res *cpu.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &panicError{val: r}
 		}
 	}()
+	runCtx := ctx
 	if timeout > 0 {
-		deadline := time.Now().Add(timeout)
-		prev := cfg.Interrupt
-		cfg.Interrupt = func() bool {
-			return (prev != nil && prev()) || !time.Now().Before(deadline)
-		}
+		var cancel context.CancelFunc
+		runCtx, cancel = context.WithTimeoutCause(ctx, timeout, errWatchdog)
+		defer cancel()
 	}
-	res, err = cpu.RunContext(ctx, p, cfg)
-	if err != nil && timeout > 0 && errors.Is(err, cpu.ErrInterrupted) && ctx.Err() == nil {
-		err = fmt.Errorf("watchdog: exceeded %v: %w", timeout, err)
+	res, err = cpu.RunContext(runCtx, p, cfg)
+	if errors.Is(err, cpu.ErrInterrupted) && ctx.Err() == nil && errors.Is(context.Cause(runCtx), errWatchdog) {
+		err = fmt.Errorf("watchdog: exceeded %v: %w", timeout, cpu.ErrInterrupted)
 	}
 	return res, err
 }
@@ -294,19 +299,17 @@ func (s *Suite) Run(p *Prepared, cfg cpu.Config) (*cpu.Result, error) {
 	return s.RunContext(s.suiteCtx(), p, cfg)
 }
 
-// RunContext is Run with explicit cancellation. Transient failures are
-// retried under Options.Retry; a run whose breaker trips returns a
-// *SkipError. The outcome — error included — is memoized so every
+// RunContext is Run with explicit cancellation. Each (kernel, config)
+// pair runs once: the outcome — error included — is memoized so every
 // experiment sharing the run re-reports rather than re-simulates it.
 func (s *Suite) RunContext(ctx context.Context, p *Prepared, cfg cpu.Config) (*cpu.Result, error) {
 	o := s.runOutcomeFor(ctx, p, cfg)
 	return o.res, o.err
 }
 
-// runOutcomeFor memoizes the retried run, keeping the attempt count for
-// report rows. Interrupted outcomes are NOT memoized: a cancelled run
-// must re-execute on the next call (or the resumed sweep), not poison
-// the cache.
+// runOutcomeFor memoizes the run. Interrupted outcomes are NOT memoized:
+// a cancelled run must re-execute on the next call (or the resumed
+// sweep), not poison the cache.
 //
 // Concurrent calls for the same (kernel, config) pair are deduplicated
 // by singleflight: the first caller becomes the leader and simulates;
@@ -346,11 +349,9 @@ func (s *Suite) runOutcomeFor(ctx context.Context, p *Prepared, cfg cpu.Config) 
 		s.mu.Unlock()
 
 		s.Opts.logf("run %s on %s (mem %d)", p.Kernel.Name, cfg.Name, cfg.Hierarchy.MemLatency)
-		o := s.runWithRetry(ctx, p, cfg)
+		o := s.runOnce(ctx, p, cfg)
 		if o.err != nil {
-			if _, skipped := o.err.(*SkipError); !skipped {
-				o.err = fmt.Errorf("harness: %s on %s: %w", p.Kernel.Name, cfg.Name, o.err)
-			}
+			o.err = fmt.Errorf("harness: %s on %s: %w", p.Kernel.Name, cfg.Name, o.err)
 		}
 		s.mu.Lock()
 		if !interrupted(o.err) {
@@ -364,85 +365,34 @@ func (s *Suite) runOutcomeFor(ctx context.Context, p *Prepared, cfg cpu.Config) 
 	}
 }
 
-// runWithRetry executes one run under the retry policy: transient
-// failures back off exponentially (with deterministic jitter) and retry
-// up to MaxAttempts; BreakerThreshold consecutive failures of the same
-// (kernel, config) pair trip the circuit breaker into a typed
-// *SkipError.
-func (s *Suite) runWithRetry(ctx context.Context, p *Prepared, cfg cpu.Config) (o runOutcome) {
-	pol := s.Opts.Retry.normalized()
-	key := memoKey(p, cfg)
+// runOnce executes one (kernel, config) run: the FaultHook seam, then
+// the protected simulation. With perf observability on, the run executes
+// under pprof labels — kernel, config, and the memo key as the run id —
+// so CPU profile samples are attributable per pair.
+func (s *Suite) runOnce(ctx context.Context, p *Prepared, cfg cpu.Config) (o runOutcome) {
 	reg := s.Opts.Perf
-	if reg != nil {
-		// Hand the registry to the simulator: this is what switches the
-		// cycle loop to its timed variant and populates Result.Timing.
-		cfg.Perf = reg
-	}
 	start := time.Now()
 	sp := reg.Span("harness.run").Start()
 	defer func() {
 		sp.End()
 		o.kernel, o.config, o.dur = p.Kernel.Name, cfg.Name, time.Since(start)
 	}()
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return runOutcome{err: fmt.Errorf("%w: %w", cpu.ErrInterrupted, err), attempts: attempt - 1}
-		}
-		var res *cpu.Result
-		var err error
-		if hook := s.Opts.FaultHook; hook != nil {
-			if herr := hook(p.Kernel.Name, cfg.Name, attempt); herr != nil {
-				err = &hookError{err: herr}
-			}
-		}
-		if err == nil {
-			res, err = s.runAttempt(ctx, p, cfg, key)
-		}
-		if err == nil {
-			s.breakerReset(key)
-			return runOutcome{res: res, attempts: attempt}
-		}
-		if interrupted(err) {
-			return runOutcome{err: err, attempts: attempt}
-		}
-		consecutive := s.breakerFail(key)
-		if pol.BreakerThreshold > 0 && consecutive >= pol.BreakerThreshold {
-			s.Opts.logf("breaker %s on %s: tripped after %d consecutive failures", p.Kernel.Name, cfg.Name, consecutive)
-			return runOutcome{
-				err:      &SkipError{Kernel: p.Kernel.Name, Config: cfg.Name, Consecutive: consecutive, Last: err},
-				attempts: attempt,
-			}
-		}
-		if !transientError(err) || attempt >= pol.MaxAttempts {
-			return runOutcome{err: err, attempts: attempt}
-		}
-		d := pol.backoffFor(key, attempt)
-		s.Opts.logf("retry %s on %s: attempt %d failed (%v); backing off %v", p.Kernel.Name, cfg.Name, attempt, err, d)
-		reg.Counter("harness.retry.count").Add(1)
-		boStart := perf.Now()
-		serr := sleepBackoff(ctx, d)
-		reg.Counter("harness.retry.backoff.ns").Add(uint64(perf.Now() - boStart))
-		if serr != nil {
-			return runOutcome{err: fmt.Errorf("%w: %w", cpu.ErrInterrupted, serr), attempts: attempt}
+	if hook := s.Opts.FaultHook; hook != nil {
+		if err := hook(p.Kernel.Name, cfg.Name); err != nil {
+			return runOutcome{err: fmt.Errorf("injected fault: %w", err)}
 		}
 	}
-}
-
-// runAttempt executes one attempt. With perf observability on, the
-// attempt runs under pprof labels — kernel, config, and the memo key as
-// the run id — so CPU profile samples are attributable per pair, and an
-// attempt-level span separates simulation time from retry backoff.
-func (s *Suite) runAttempt(ctx context.Context, p *Prepared, cfg cpu.Config, key string) (res *cpu.Result, err error) {
-	reg := s.Opts.Perf
 	if reg == nil {
-		return runProtected(ctx, p.Ref, cfg, s.Opts.RunTimeout)
+		o.res, o.err = runProtected(ctx, p.Ref, cfg, s.Opts.RunTimeout)
+		return o
 	}
-	sp := reg.Span("harness.attempt").Start()
-	pprof.Do(ctx, pprof.Labels("kernel", p.Kernel.Name, "config", cfg.Name, "run", key), func(ctx context.Context) {
-		res, err = runProtected(ctx, p.Ref, cfg, s.Opts.RunTimeout)
+	// Hand the registry to the simulator: this is what switches the
+	// cycle loop to its timed variant and populates Result.Timing.
+	cfg.Perf = reg
+	pprof.Do(ctx, pprof.Labels("kernel", p.Kernel.Name, "config", cfg.Name, "run", memoKey(p, cfg)), func(ctx context.Context) {
+		o.res, o.err = runProtected(ctx, p.Ref, cfg, s.Opts.RunTimeout)
 	})
-	sp.End()
-	return res, err
+	return o
 }
 
 // SlowestRun scans the memoized outcomes for the completed run that took
@@ -461,14 +411,13 @@ func (s *Suite) SlowestRun() (kernel, config string, dur time.Duration, ok bool)
 	return kernel, config, dur, ok
 }
 
-// ResetRunCache forgets every memoized run outcome and breaker count so
-// the next sweep re-simulates from scratch. It exists so benchmarks
+// ResetRunCache forgets every memoized run outcome so the next sweep
+// re-simulates from scratch. It exists so benchmarks
 // (BenchmarkSweepParallel) can measure real simulation work on every
 // iteration; it must not be called while runs are in flight.
 func (s *Suite) ResetRunCache() {
 	s.mu.Lock()
 	s.cache = map[string]runOutcome{}
-	s.breaker = map[string]int{}
 	s.mu.Unlock()
 }
 

@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,8 +14,8 @@ import (
 // Determinism battery for the parallel sweep engine: a sweep run on a
 // worker pool must produce a report byte-identical to the serial
 // engine's, with and without a journal, and the whole reliability stack
-// (singleflight memo, keyed breaker, journal writer, resume) must be
-// safe under `go test -race`.
+// (singleflight memo, journal writer, resume) must be safe under
+// `go test -race`.
 
 // parallelOptions is tinyOptions at worker-pool width 8.
 func parallelOptions() Options {
@@ -101,7 +100,7 @@ func TestParallelKillAndResumeByteIdentical(t *testing.T) {
 	defer cancel()
 	opts := parallelOptions()
 	var runs atomic.Int64
-	opts.FaultHook = func(kernel, config string, attempt int) error {
+	opts.FaultHook = func(kernel, config string) error {
 		if runs.Add(1) == 3 {
 			cancel()
 		}
@@ -156,7 +155,7 @@ func TestParallelKillAndResumeByteIdentical(t *testing.T) {
 func TestSingleflightDedupsConcurrentRuns(t *testing.T) {
 	opts := tinyOptions()
 	var executions atomic.Int64
-	opts.FaultHook = func(kernel, config string, attempt int) error {
+	opts.FaultHook = func(kernel, config string) error {
 		executions.Add(1)
 		// Hold the leader in the simulation long enough for every other
 		// goroutine to reach the singleflight wait.
@@ -204,11 +203,11 @@ func TestSingleflightWaiterSurvivesLeaderCancellation(t *testing.T) {
 	leaderIn := make(chan struct{})
 	var once sync.Once
 	var executions atomic.Int64
-	opts.FaultHook = func(kernel, config string, attempt int) error {
+	opts.FaultHook = func(kernel, config string) error {
 		executions.Add(1)
 		once.Do(func() {
-			close(leaderIn)           // the waiter may start now
-			cancelLeader()            // ...and the leader dies mid-run
+			close(leaderIn)                  // the waiter may start now
+			cancelLeader()                   // ...and the leader dies mid-run
 			time.Sleep(5 * time.Millisecond) // let cancellation land
 		})
 		return nil
@@ -236,83 +235,5 @@ func TestSingleflightWaiterSurvivesLeaderCancellation(t *testing.T) {
 	}
 	if got := executions.Load(); got > 2 {
 		t.Errorf("run executed %d times, want at most 2 (leader + takeover)", got)
-	}
-}
-
-// TestBreakerSharedAcrossCalls pins the keyed breaker state: the
-// consecutive-failure count for a (kernel, config) pair persists across
-// runWithRetry invocations, so a later call inherits — and can trip on —
-// failures counted by an earlier one.
-func TestBreakerSharedAcrossCalls(t *testing.T) {
-	opts := tinyOptions()
-	opts.Retry = RetryPolicy{MaxAttempts: 2, Backoff: time.Microsecond, BackoffMax: time.Microsecond, BreakerThreshold: 3}
-	opts.FaultHook = func(kernel, config string, attempt int) error {
-		return errors.New("persistent failure")
-	}
-	s := tinySuite(t, opts, "tiny")
-	p, cfg := s.Prepared[0], cpu.BaselineConfig()
-
-	// First call: two failed attempts, breaker count 2, no trip yet.
-	o := s.runWithRetry(context.Background(), p, cfg)
-	var skip *SkipError
-	if errors.As(o.err, &skip) {
-		t.Fatalf("breaker tripped after %d attempts, threshold is 3", o.attempts)
-	}
-	// Second call: the inherited count trips the breaker on its first
-	// failure.
-	o = s.runWithRetry(context.Background(), p, cfg)
-	if !errors.As(o.err, &skip) {
-		t.Fatalf("second call: err = %v, want *SkipError from the inherited count", o.err)
-	}
-	if skip.Consecutive != 3 {
-		t.Errorf("breaker tripped at %d consecutive failures, want 3", skip.Consecutive)
-	}
-}
-
-// TestBreakerTripsUnderRacingGoroutines trips the breaker from
-// goroutines racing on the same pair (bypassing the singleflight layer,
-// which would serialize them): the per-pair counter is shared under the
-// suite mutex, so the failures accumulate across goroutines and at least
-// one of them must observe the trip. Run under -race this also proves
-// the counter is data-race-free.
-func TestBreakerTripsUnderRacingGoroutines(t *testing.T) {
-	opts := tinyOptions()
-	opts.Retry = RetryPolicy{MaxAttempts: 2, Backoff: time.Microsecond, BackoffMax: time.Microsecond, BreakerThreshold: 4}
-	opts.FaultHook = func(kernel, config string, attempt int) error {
-		return errors.New("persistent failure")
-	}
-	s := tinySuite(t, opts, "tiny")
-	p, cfg := s.Prepared[0], cpu.BaselineConfig()
-
-	const racers = 4 // 4 goroutines x up to 2 attempts >= threshold 4
-	outcomes := make([]runOutcome, racers)
-	var wg sync.WaitGroup
-	for i := 0; i < racers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outcomes[i] = s.runWithRetry(context.Background(), p, cfg)
-		}(i)
-	}
-	wg.Wait()
-
-	tripped := 0
-	for i, o := range outcomes {
-		if o.err == nil {
-			t.Fatalf("racer %d succeeded under an always-failing hook", i)
-		}
-		var skip *SkipError
-		if errors.As(o.err, &skip) {
-			tripped++
-		}
-	}
-	if tripped == 0 {
-		t.Error("8 racing failures against threshold 4 never tripped the shared breaker")
-	}
-	s.mu.Lock()
-	count := s.breaker[memoKey(p, cfg)]
-	s.mu.Unlock()
-	if count < 4 {
-		t.Errorf("shared breaker count = %d after 8 racing failures, want >= 4", count)
 	}
 }

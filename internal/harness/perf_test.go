@@ -18,7 +18,6 @@ func TestSweepWithPerfObservability(t *testing.T) {
 	s := &Suite{Opts: base.Opts, Prepared: base.Prepared, Failed: map[string]error{}}
 	s.cache = map[string]runOutcome{}
 	s.inflight = map[string]*inflightRun{}
-	s.breaker = map[string]int{}
 	reg := perf.NewRegistry()
 	s.Opts.Perf = reg
 
@@ -58,9 +57,8 @@ func TestSweepWithPerfObservability(t *testing.T) {
 		t.Errorf("harness.sweep span count = %d, want 1", spans["harness.sweep"].Count)
 	}
 	wantRuns := uint64(len(rep.Rows))
-	if spans["harness.run"].Count != wantRuns || spans["harness.attempt"].Count != wantRuns {
-		t.Errorf("run/attempt spans = %d/%d, want %d each",
-			spans["harness.run"].Count, spans["harness.attempt"].Count, wantRuns)
+	if spans["harness.run"].Count != wantRuns {
+		t.Errorf("harness.run span count = %d, want %d", spans["harness.run"].Count, wantRuns)
 	}
 	if counters["cpu.run.count"] != wantRuns {
 		t.Errorf("cpu.run.count = %d, want %d", counters["cpu.run.count"], wantRuns)

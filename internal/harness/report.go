@@ -20,7 +20,7 @@ import (
 // ReportSchema identifies the base report wire format; bump it on
 // breaking changes so readers can refuse files they do not understand.
 // ReportSchemaV2 extends v1 with the reliability fields (interrupted
-// sweeps, typed skips, retry attempt counts). Writers negotiate down: a
+// sweeps, typed skips, attempt counts). Writers negotiate down: a
 // complete sweep that uses none of the v2 fields is tagged — and is
 // byte-identical to — a v1 report, so resuming an interrupted sweep
 // converges to exactly the spear-report/1 bytes an uninterrupted sweep
@@ -50,11 +50,13 @@ type ReportRow struct {
 	Kernel string `json:"kernel"`
 	Config string `json:"config,omitempty"`
 	Error  string `json:"error,omitempty"`
-	// Skipped is the typed skip reason: the circuit breaker tripped, or
-	// the sweep was interrupted before this run started.
+	// Skipped is the typed skip reason: the sweep was interrupted before
+	// this run completed (or, replayed from an older journal, a circuit
+	// breaker tripped).
 	Skipped string `json:"skipped,omitempty"`
-	// Attempts is how many attempts the run consumed; recorded only when
-	// retries happened (values > 1), so retry-free reports stay v1.
+	// Attempts is how many attempts the run consumed, recorded only when
+	// above 1. Current builds run each pair once; values come only from
+	// reports and journals of older builds, which retried runs.
 	Attempts int         `json:"attempts,omitempty"`
 	Result   *cpu.Result `json:"result,omitempty"`
 }

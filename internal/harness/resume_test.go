@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"spear/internal/asm"
 	"spear/internal/cpu"
@@ -47,7 +46,6 @@ func tinyOptions() Options {
 	return Options{
 		Parallel: 1,
 		Seed:     1,
-		Retry:    RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond, BackoffMax: 2 * time.Millisecond, BreakerThreshold: 3},
 	}
 }
 
@@ -62,82 +60,6 @@ func reportBytes(t *testing.T, rep *Report) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// TestRetryRecoversTransientFault injects a fault on the first attempt of
-// one run and asserts the retry layer recovers it: the row carries a
-// result, records the extra attempt, and does not poison the report.
-func TestRetryRecoversTransientFault(t *testing.T) {
-	opts := tinyOptions()
-	opts.FaultHook = func(kernel, config string, attempt int) error {
-		if kernel == "tiny" && config == "baseline" && attempt == 1 {
-			return errors.New("simulated transient failure")
-		}
-		return nil
-	}
-	s := tinySuite(t, opts, "tiny")
-	rep := s.SweepReportContext(context.Background(), "sweep", twoConfigs(), nil)
-
-	row := rep.Lookup("tiny", "baseline")
-	if row == nil || row.Result == nil {
-		t.Fatalf("faulted run did not recover: %+v", row)
-	}
-	if row.Error != "" || row.Skipped != "" {
-		t.Errorf("recovered run still carries error %q / skip %q", row.Error, row.Skipped)
-	}
-	if row.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", row.Attempts)
-	}
-	if other := rep.Lookup("tiny", "SPEAR-128"); other == nil || other.Attempts != 0 {
-		t.Errorf("un-faulted run records attempts: %+v", other)
-	}
-	if rep.Schema != ReportSchemaV2 {
-		t.Errorf("schema = %q, want %q (attempts field is in use)", rep.Schema, ReportSchemaV2)
-	}
-}
-
-// TestBreakerTripsIntoTypedSkip makes one (kernel, config) pair fail
-// persistently and asserts the circuit breaker converts it into a typed
-// skip row while the rest of the sweep carries on.
-func TestBreakerTripsIntoTypedSkip(t *testing.T) {
-	opts := tinyOptions()
-	opts.FaultHook = func(kernel, config string, attempt int) error {
-		if config == "baseline" {
-			return errors.New("persistent failure")
-		}
-		return nil
-	}
-	s := tinySuite(t, opts, "tiny")
-
-	_, err := s.RunContext(context.Background(), s.Prepared[0], cpu.BaselineConfig())
-	var skip *SkipError
-	if !errors.As(err, &skip) {
-		t.Fatalf("err = %v, want *SkipError", err)
-	}
-	if skip.Consecutive != 3 {
-		t.Errorf("breaker tripped after %d failures, want 3", skip.Consecutive)
-	}
-
-	rep := s.SweepReportContext(context.Background(), "sweep", twoConfigs(), nil)
-	row := rep.Lookup("tiny", "baseline")
-	if row == nil || row.Skipped == "" {
-		t.Fatalf("breaker run not reported as skipped: %+v", row)
-	}
-	if !strings.Contains(row.Skipped, "circuit breaker tripped after 3") {
-		t.Errorf("skip reason = %q", row.Skipped)
-	}
-	if row.Result != nil || row.Error != "" {
-		t.Errorf("skip row also carries result/error: %+v", row)
-	}
-	if other := rep.Lookup("tiny", "SPEAR-128"); other == nil || other.Result == nil {
-		t.Errorf("sweep did not continue past the tripped breaker: %+v", other)
-	}
-	if rep.Interrupted {
-		t.Error("breaker skip marked the report interrupted")
-	}
-	if rep.Schema != ReportSchemaV2 {
-		t.Errorf("schema = %q, want %q (skip field is in use)", rep.Schema, ReportSchemaV2)
-	}
 }
 
 // TestKillAndResumeByteIdentical is the tentpole acceptance criterion: a
@@ -157,7 +79,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 	defer cancel()
 	opts := tinyOptions()
 	runs := 0
-	opts.FaultHook = func(kernel, config string, attempt int) error {
+	opts.FaultHook = func(kernel, config string) error {
 		if runs++; runs == 3 {
 			cancel()
 		}
@@ -192,7 +114,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 	// the two interrupted ones re-execute.
 	ropts := tinyOptions()
 	resumedRuns := 0
-	ropts.FaultHook = func(kernel, config string, attempt int) error { resumedRuns++; return nil }
+	ropts.FaultHook = func(kernel, config string) error { resumedRuns++; return nil }
 	rs := tinySuite(t, ropts, kernels...)
 	rj, err := OpenSweepJournal(dir, true)
 	if err != nil {
@@ -246,7 +168,7 @@ func TestTornJournalResumeReexecutesOnlyTornRun(t *testing.T) {
 
 	opts := tinyOptions()
 	var reran []string
-	opts.FaultHook = func(kernel, config string, attempt int) error {
+	opts.FaultHook = func(kernel, config string) error {
 		reran = append(reran, fmt.Sprintf("%s/%s", kernel, config))
 		return nil
 	}

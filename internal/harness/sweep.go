@@ -20,10 +20,10 @@ import (
 // write-ahead run journal. Each (kernel, compiler options, machine
 // config, seed) is keyed by a deterministic content hash; a "started"
 // record is fsync'd before the run and a terminal record — done with the
-// serialized result, failed with the error, skipped with the breaker
-// reason — after it. Because cpu.Result survives its JSON round trip
-// bit-exactly, a resumed sweep replays completed runs from the journal
-// and converges to a report byte-identical to an uninterrupted sweep's.
+// serialized result or failed with the error — after it. Because
+// cpu.Result survives its JSON round trip bit-exactly, a resumed sweep
+// replays completed runs from the journal and converges to a report
+// byte-identical to an uninterrupted sweep's.
 
 // SkipInterrupted is the typed skip reason stamped on rows whose runs
 // had not finished when the sweep was cancelled. Interrupted rows are
@@ -40,7 +40,7 @@ func (s *Suite) runKey(p *Prepared, cfg cpu.Config) string {
 	// Hooks, fault-injection overrides, and the perf registry are
 	// process-local state, not part of the machine's identity (and funcs
 	// or pointers render as addresses).
-	c.Interrupt, c.Trace, c.Events, c.PTextOverride, c.Perf = nil, nil, nil, nil, nil
+	c.Trace, c.Events, c.PTextOverride, c.Perf = nil, nil, nil, nil
 	return journal.Hash(
 		"kernel="+p.Kernel.Name,
 		fmt.Sprintf("compiler=%+v", s.Opts.Compiler),
@@ -172,9 +172,9 @@ func (j *SweepJournal) Quarantined() int {
 }
 
 // SweepReportContext is SweepReport with cancellation and an optional
-// write-ahead journal (nil runs un-journaled). Per-pair failures become
-// error rows, tripped breakers become typed skip rows, and cancellation
-// marks the report interrupted instead of discarding completed work.
+// write-ahead journal (nil runs un-journaled). Each pair runs once; a
+// failure becomes an error row, and cancellation marks the report
+// interrupted instead of discarding completed work.
 //
 // The (kernel, config) pairs execute on a bounded worker pool of
 // Options.Parallel goroutines (min 1). Rows are assembled by index into
@@ -279,37 +279,27 @@ func (s *Suite) sweepOne(ctx context.Context, p *Prepared, cfg cpu.Config, j *Sw
 		row.Skipped = SkipInterrupted
 		return row
 	}
-	if o.attempts > 1 {
-		row.Attempts = o.attempts
-	}
-	var skip *SkipError
-	switch {
-	case o.err == nil:
+	if o.err == nil {
 		row.Result = o.res
-	case errors.As(o.err, &skip):
-		row.Skipped = skip.Reason()
-	default:
+	} else {
 		row.Error = o.err.Error()
 	}
 	if j != nil {
-		if err := j.w.Append(terminalRecord(key, &row, o)); err != nil {
+		if err := j.w.Append(terminalRecord(key, &row)); err != nil {
 			s.Opts.logf("journal append failed: %v", err)
 		}
 	}
 	return row
 }
 
-// terminalRecord builds the journal record that finishes a run.
-func terminalRecord(key string, row *ReportRow, o runOutcome) journal.Record {
-	rec := journal.Record{Key: key, Kernel: row.Kernel, Config: row.Config, Attempts: o.attempts}
-	switch {
-	case row.Result != nil:
+// terminalRecord builds the journal record that finishes a run. Every
+// run is a single attempt.
+func terminalRecord(key string, row *ReportRow) journal.Record {
+	rec := journal.Record{Key: key, Kernel: row.Kernel, Config: row.Config, Attempts: 1}
+	if row.Result != nil {
 		rec.Status = journal.StatusDone
 		rec.Result, _ = json.Marshal(row.Result)
-	case row.Skipped != "":
-		rec.Status = journal.StatusSkipped
-		rec.Skip = row.Skipped
-	default:
+	} else {
 		rec.Status = journal.StatusFailed
 		rec.Error = row.Error
 	}
@@ -317,6 +307,9 @@ func terminalRecord(key string, row *ReportRow, o runOutcome) journal.Record {
 }
 
 // replayRecord fills a report row from a journaled terminal record.
+// Records with more than one attempt and skipped records come from
+// older builds, which retried runs and tripped a circuit breaker; they
+// still replay, so those journals resume unchanged.
 func replayRecord(rec journal.Record, row *ReportRow) error {
 	if rec.Attempts > 1 {
 		row.Attempts = rec.Attempts
@@ -340,14 +333,14 @@ func replayRecord(rec journal.Record, row *ReportRow) error {
 
 // seedCache installs a journal-replayed outcome into the suite's run
 // memo so figure experiments sharing the pair reuse it instead of
-// re-simulating.
+// re-simulating. A replayed skip becomes a plain error.
 func (s *Suite) seedCache(p *Prepared, cfg cpu.Config, row *ReportRow) {
-	o := runOutcome{res: row.Result, attempts: max(row.Attempts, 1)}
+	o := runOutcome{res: row.Result}
 	switch {
 	case row.Error != "":
 		o.err = errors.New(row.Error)
 	case row.Skipped != "":
-		o.err = &SkipError{Kernel: p.Kernel.Name, Config: cfg.Name, Consecutive: row.Attempts, Last: errors.New(row.Skipped)}
+		o.err = errors.New(row.Skipped)
 	}
 	key := memoKey(p, cfg)
 	s.mu.Lock()

@@ -59,7 +59,7 @@ func TestTortureKillCrashResume(t *testing.T) {
 			killAfter := 1 + int(seed%4)
 			var mu sync.Mutex
 			runs := 0
-			opts.FaultHook = func(kernel, config string, attempt int) error {
+			opts.FaultHook = func(kernel, config string) error {
 				mu.Lock()
 				defer mu.Unlock()
 				if runs++; runs == killAfter {
@@ -160,7 +160,7 @@ func TestQuarantinedJournalResumeConverges(t *testing.T) {
 
 	opts := tinyOptions()
 	var reran []string
-	opts.FaultHook = func(kernel, config string, attempt int) error {
+	opts.FaultHook = func(kernel, config string) error {
 		reran = append(reran, kernel+"/"+config)
 		return nil
 	}

@@ -59,11 +59,11 @@ const (
 	StatusStarted Status = "started"
 	// StatusDone carries the serialized result of a completed run.
 	StatusDone Status = "done"
-	// StatusFailed carries the error of a run that failed permanently
-	// (retries exhausted or a non-transient failure).
+	// StatusFailed carries the error of a run that failed.
 	StatusFailed Status = "failed"
-	// StatusSkipped records a typed skip: the circuit breaker tripped and
-	// the run was abandoned without a result.
+	// StatusSkipped records a typed skip without a result. Only older
+	// builds, whose circuit breaker abandoned runs, write it; it still
+	// replays.
 	StatusSkipped Status = "skipped"
 )
 
@@ -83,7 +83,8 @@ type Record struct {
 	Key    string `json:"key"`
 	Kernel string `json:"kernel,omitempty"`
 	Config string `json:"config,omitempty"`
-	// Attempts is how many attempts the run consumed (terminal records).
+	// Attempts is how many attempts the run consumed (terminal records);
+	// always 1 from current writers.
 	Attempts int `json:"attempts,omitempty"`
 	// Error is the failure message (failed records).
 	Error string `json:"error,omitempty"`

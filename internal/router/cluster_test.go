@@ -49,7 +49,6 @@ func tinyOptions() harness.Options {
 	return harness.Options{
 		Parallel: 1,
 		Seed:     1,
-		Retry:    harness.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond, BackoffMax: 2 * time.Millisecond, BreakerThreshold: 3},
 	}
 }
 
@@ -250,11 +249,11 @@ func reqBody(t *testing.T, req sched.Request) string {
 // gatedHook returns a FaultHook that blocks the killAfter-th run until
 // release closes, signalling reached — the mid-sweep kill window. After
 // release, every run (on any shard sharing the hook) passes freely.
-func gatedHook(killAfter int, reached, release chan struct{}) func(string, string, int) error {
+func gatedHook(killAfter int, reached, release chan struct{}) func(kernel, config string) error {
 	var mu sync.Mutex
 	var once sync.Once
 	runs := 0
-	return func(kernel, config string, attempt int) error {
+	return func(kernel, config string) error {
 		mu.Lock()
 		runs++
 		n := runs

@@ -518,7 +518,8 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rt.shedAll(w, reasons, retryAfter)
 }
 
-// handleJobGet routes job reads by the job ID (= request key). A shard
+// handleJobGet routes job reads by the job ID (= request key), passing
+// the query string through (e.g. the events stream's interval_ms). A shard
 // that answers 404 is not authoritative after a failover — the job may
 // live on the ring successor — so 404s continue down the candidate
 // list and only surface when every live candidate agrees.
@@ -532,7 +533,7 @@ func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
 			reasons = append(reasons, fmt.Sprintf("%s: circuit open", addr))
 			continue
 		}
-		res := rt.tryBackend(r.Context(), addr, http.MethodGet, r.URL.Path, nil, stream)
+		res := rt.tryBackend(r.Context(), addr, http.MethodGet, r.URL.RequestURI(), nil, stream)
 		if res.err != nil {
 			reasons = append(reasons, fmt.Sprintf("%s: %v", addr, res.err))
 			continue

@@ -324,6 +324,29 @@ func TestJobGetFallsThrough404(t *testing.T) {
 	}
 }
 
+// TestJobGetForwardsQuery pins that job reads reach the shard with their
+// query string: the events stream's interval_ms must not be dropped.
+func TestJobGetForwardsQuery(t *testing.T) {
+	var got atomic.Value
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/jobs/") { // not the health checker's /readyz
+			got.Store(r.URL.RequestURI())
+		}
+		writeJSON(w, http.StatusOK, map[string]string{"state": "done"})
+	}))
+	defer backend.Close()
+
+	rt := testRouter(t, Config{Backends: []string{backend.URL}})
+	w := httptest.NewRecorder()
+	rt.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/abc/events?interval_ms=25", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET events = %d: %s", w.Code, w.Body)
+	}
+	if uri, _ := got.Load().(string); uri != "/v1/jobs/abc/events?interval_ms=25" {
+		t.Errorf("backend saw %q, want the query string forwarded", uri)
+	}
+}
+
 // TestClusterProgressMerge checks /v1/progress fans out and merges, and
 // that the top-level JSON stays decodable as a plain sched.Progress
 // (the spearstat compatibility contract).

@@ -82,8 +82,8 @@ func (e *suiteEngine) Validate(req Request) error {
 // journal. Safe for concurrent use; concurrent jobs needing the same
 // suite build it once (singleflight).
 type SuiteEngine struct {
-	// Base is the options template: compiler knobs, retry policy,
-	// per-sweep pool width, perf registry. Kernels and Seed are overlaid
+	// Base is the options template: compiler knobs, per-sweep pool
+	// width, perf registry. Kernels and Seed are overlaid
 	// from each request.
 	Base harness.Options
 	// NewSuite overrides suite construction (tests substitute synthetic

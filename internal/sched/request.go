@@ -7,7 +7,7 @@
 // The split of responsibilities:
 //
 //   - internal/harness is the pure engine: prepare kernels, run
-//     simulations, retry/breaker, assemble byte-deterministic reports.
+//     simulations once each, assemble byte-deterministic reports.
 //   - sched owns everything about *when and whether* work runs: the
 //     content-hash identity of a request, admission control (bounded
 //     queue, per-client caps, typed load shedding — never silent drops),

@@ -31,7 +31,6 @@ func tinyOptions() harness.Options {
 	return harness.Options{
 		Parallel: 1,
 		Seed:     1,
-		Retry:    harness.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond, BackoffMax: 2 * time.Millisecond, BreakerThreshold: 3},
 	}
 }
 
@@ -377,7 +376,7 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	opts := tinyOptions()
 	runs := 0
 	var once sync.Once
-	opts.FaultHook = func(kernel, config string, attempt int) error {
+	opts.FaultHook = func(kernel, config string) error {
 		if runs++; runs == 3 {
 			once.Do(func() { close(reached) })
 			<-release
@@ -440,7 +439,7 @@ func TestResubmitInterruptedReenqueues(t *testing.T) {
 
 	opts := tinyOptions()
 	slow := opts
-	slow.FaultHook = func(kernel, config string, attempt int) error {
+	slow.FaultHook = func(kernel, config string) error {
 		time.Sleep(5 * time.Millisecond) // let the 1ms deadline lapse
 		return nil
 	}

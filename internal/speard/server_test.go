@@ -36,7 +36,6 @@ func tinyOptions() harness.Options {
 	return harness.Options{
 		Parallel: 1,
 		Seed:     1,
-		Retry:    harness.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond, BackoffMax: 2 * time.Millisecond, BreakerThreshold: 3},
 	}
 }
 

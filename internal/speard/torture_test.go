@@ -73,7 +73,7 @@ func TestTortureKillRestartResubmit(t *testing.T) {
 			var mu sync.Mutex
 			runs := 0
 			opts := tinyOptions()
-			opts.FaultHook = func(kernel, config string, attempt int) error {
+			opts.FaultHook = func(kernel, config string) error {
 				mu.Lock()
 				n := runs + 1
 				runs = n
@@ -174,7 +174,7 @@ func TestTortureCrashBeforeAnyDurableRun(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	opts := tinyOptions()
-	opts.FaultHook = func(kernel, config string, attempt int) error {
+	opts.FaultHook = func(kernel, config string) error {
 		once.Do(func() { close(reached) })
 		<-release
 		return nil
