@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"spear/internal/journal"
+	"spear/internal/router"
 )
 
 // Journal progress mode: `spearstat -journal <dir>` inspects a sweep's
@@ -91,43 +92,18 @@ func progressLine(dir string) (string, error) {
 	return renderProgress(st), nil
 }
 
-// serverProgress is the subset of speard's /v1/progress response
-// spearstat renders (the full shape is sched.Progress). Pointed at a
-// spearproxy instead, the same endpoint carries the cluster-merged
-// aggregate plus a per-shard health list (router.ClusterProgress); the
-// shards field is simply absent on a single speard, so one decoder
-// serves both.
-type serverProgress struct {
-	JobsQueued      int              `json:"jobs_queued"`
-	JobsRunning     int              `json:"jobs_running"`
-	JobsDone        int              `json:"jobs_done"`
-	JobsFailed      int              `json:"jobs_failed"`
-	JobsInterrupted int              `json:"jobs_interrupted"`
-	JobsShed        int              `json:"jobs_shed"`
-	Runs            journal.Progress `json:"runs"`
-	Shards          []shardHealth    `json:"shards"`
-}
-
-// shardHealth mirrors router.ShardHealth on the wire.
-type shardHealth struct {
-	Addr        string `json:"addr"`
-	State       string `json:"state"`
-	BreakerOpen bool   `json:"breaker_open"`
-	Error       string `json:"error"`
-}
-
 // renderShardBanner folds the per-shard health list into the cluster
 // banner segment: a ready count, then one annotation per shard that is
 // not plainly ready ("addr: down (connection refused)").
-func renderShardBanner(shards []shardHealth) string {
+func renderShardBanner(shards []router.ShardHealth) string {
 	ready := 0
 	var trouble []string
 	for _, s := range shards {
-		if s.State == "ready" && !s.BreakerOpen {
+		if s.State == router.BackendReady && !s.BreakerOpen {
 			ready++
 			continue
 		}
-		note := s.Addr + ": " + s.State
+		note := s.Addr + ": " + string(s.State)
 		if s.BreakerOpen {
 			note += " (breaker open)"
 		}
@@ -159,7 +135,11 @@ func addrLine(addr string) (string, error) {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return "", fmt.Errorf("%s/v1/progress: %s: %s", base, resp.Status, strings.TrimSpace(string(body)))
 	}
-	var sp serverProgress
+	// A single speard answers with sched.Progress; a spearproxy with
+	// router.ClusterProgress, which embeds it and adds the per-shard
+	// health list. One decoder serves both: Shards is simply empty for a
+	// single server.
+	var sp router.ClusterProgress
 	if err := json.NewDecoder(resp.Body).Decode(&sp); err != nil {
 		return "", fmt.Errorf("%s/v1/progress: %w", base, err)
 	}

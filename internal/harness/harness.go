@@ -137,20 +137,9 @@ type Suite struct {
 	// experiment built on the suite inherits graceful cancellation.
 	ctx context.Context
 
-	// mu guards the two maps below. cache memoizes finished outcomes;
-	// inflight is the singleflight table — one entry per run currently
-	// executing, so concurrent callers of the same (kernel, config) pair
-	// simulate once and share the outcome.
-	mu       sync.Mutex
-	cache    map[string]runOutcome
-	inflight map[string]*inflightRun
-}
-
-// inflightRun is one singleflight slot: done is closed once the leader's
-// outcome is available in o.
-type inflightRun struct {
-	done chan struct{}
-	o    runOutcome
+	// mu guards cache, the memo of finished outcomes keyed by runKey.
+	mu    sync.Mutex
+	cache map[string]runOutcome
 }
 
 // runOutcome memoizes one simulation's result or error, so a failing
@@ -183,7 +172,7 @@ func NewSuiteContext(ctx context.Context, opts Options) (*Suite, error) {
 			names = append(names, k.Name)
 		}
 	}
-	s := &Suite{Opts: opts, ctx: ctx, cache: map[string]runOutcome{}, inflight: map[string]*inflightRun{}, Failed: map[string]error{}}
+	s := &Suite{Opts: opts, ctx: ctx, cache: map[string]runOutcome{}, Failed: map[string]error{}}
 	type slot struct {
 		p   *Prepared
 		err error
@@ -239,11 +228,10 @@ func NewSuiteContext(ctx context.Context, opts Options) (*Suite, error) {
 // preparation; production paths go through NewSuiteContext.
 func NewStaticSuite(opts Options, progs ...*prog.Program) *Suite {
 	s := &Suite{
-		Opts:     opts,
-		ctx:      context.Background(),
-		cache:    map[string]runOutcome{},
-		inflight: map[string]*inflightRun{},
-		Failed:   map[string]error{},
+		Opts:   opts,
+		ctx:    context.Background(),
+		cache:  map[string]runOutcome{},
+		Failed: map[string]error{},
 	}
 	for _, p := range progs {
 		s.Prepared = append(s.Prepared, &Prepared{Kernel: workloads.Kernel{Name: p.Name}, Ref: p, RefInstr: 1})
@@ -289,11 +277,6 @@ func runProtected(ctx context.Context, p *prog.Program, cfg cpu.Config, timeout 
 	return res, err
 }
 
-// memoKey is the suite memoization key for one (kernel, config) run.
-func memoKey(p *Prepared, cfg cpu.Config) string {
-	return fmt.Sprintf("%s|%s|%d|%d", p.Kernel.Name, cfg.Name, cfg.Hierarchy.L2.HitLatency, cfg.Hierarchy.MemLatency)
-}
-
 // Run simulates one prepared kernel under cfg, memoized (errors included).
 func (s *Suite) Run(p *Prepared, cfg cpu.Config) (*cpu.Result, error) {
 	return s.RunContext(s.suiteCtx(), p, cfg)
@@ -303,73 +286,39 @@ func (s *Suite) Run(p *Prepared, cfg cpu.Config) (*cpu.Result, error) {
 // pair runs once: the outcome — error included — is memoized so every
 // experiment sharing the run re-reports rather than re-simulates it.
 func (s *Suite) RunContext(ctx context.Context, p *Prepared, cfg cpu.Config) (*cpu.Result, error) {
-	o := s.runOutcomeFor(ctx, p, cfg)
+	o := s.runOutcomeFor(ctx, p, cfg, s.runKey(p, cfg))
 	return o.res, o.err
 }
 
-// runOutcomeFor memoizes the run. Interrupted outcomes are NOT memoized:
-// a cancelled run must re-execute on the next call (or the resumed
-// sweep), not poison the cache.
-//
-// Concurrent calls for the same (kernel, config) pair are deduplicated
-// by singleflight: the first caller becomes the leader and simulates;
-// every other caller waits for the leader's outcome instead of running
-// the simulation again. If the leader was interrupted (its outcome is
-// not memoized) a waiter whose own context is still live retries —
-// becoming the new leader — rather than propagating a cancellation it
-// never suffered.
-func (s *Suite) runOutcomeFor(ctx context.Context, p *Prepared, cfg cpu.Config) runOutcome {
-	key := memoKey(p, cfg)
-	for {
-		s.mu.Lock()
-		if o, ok := s.cache[key]; ok {
-			s.mu.Unlock()
-			return o
-		}
-		if fl, ok := s.inflight[key]; ok {
-			s.mu.Unlock()
-			select {
-			case <-fl.done:
-			case <-ctx.Done():
-				return runOutcome{err: fmt.Errorf("%w: %w", cpu.ErrInterrupted, ctx.Err())}
-			}
-			if !interrupted(fl.o.err) {
-				return fl.o
-			}
-			if ctx.Err() != nil {
-				return fl.o
-			}
-			continue // leader was cancelled but we were not: take over
-		}
-		fl := &inflightRun{done: make(chan struct{})}
-		if s.inflight == nil {
-			s.inflight = map[string]*inflightRun{}
-		}
-		s.inflight[key] = fl
-		s.mu.Unlock()
-
-		s.Opts.logf("run %s on %s (mem %d)", p.Kernel.Name, cfg.Name, cfg.Hierarchy.MemLatency)
-		o := s.runOnce(ctx, p, cfg)
-		if o.err != nil {
-			o.err = fmt.Errorf("harness: %s on %s: %w", p.Kernel.Name, cfg.Name, o.err)
-		}
-		s.mu.Lock()
-		if !interrupted(o.err) {
-			s.cache[key] = o
-		}
-		delete(s.inflight, key)
-		s.mu.Unlock()
-		fl.o = o
-		close(fl.done)
+// runOutcomeFor looks the run up in the memo by its run key, else runs
+// it once and memoizes the outcome. Interrupted outcomes are NOT
+// memoized: a cancelled run must re-execute on the next call (or the
+// resumed sweep), not poison the cache.
+func (s *Suite) runOutcomeFor(ctx context.Context, p *Prepared, cfg cpu.Config, key string) runOutcome {
+	s.mu.Lock()
+	o, ok := s.cache[key]
+	s.mu.Unlock()
+	if ok {
 		return o
 	}
+	s.Opts.logf("run %s on %s (mem %d)", p.Kernel.Name, cfg.Name, cfg.Hierarchy.MemLatency)
+	o = s.runOnce(ctx, p, cfg, key)
+	if o.err != nil {
+		o.err = fmt.Errorf("harness: %s on %s: %w", p.Kernel.Name, cfg.Name, o.err)
+	}
+	if !interrupted(o.err) {
+		s.mu.Lock()
+		s.cache[key] = o
+		s.mu.Unlock()
+	}
+	return o
 }
 
 // runOnce executes one (kernel, config) run: the FaultHook seam, then
 // the protected simulation. With perf observability on, the run executes
-// under pprof labels — kernel, config, and the memo key as the run id —
+// under pprof labels — kernel, config, and the run key as the run id —
 // so CPU profile samples are attributable per pair.
-func (s *Suite) runOnce(ctx context.Context, p *Prepared, cfg cpu.Config) (o runOutcome) {
+func (s *Suite) runOnce(ctx context.Context, p *Prepared, cfg cpu.Config, key string) (o runOutcome) {
 	reg := s.Opts.Perf
 	start := time.Now()
 	sp := reg.Span("harness.run").Start()
@@ -389,7 +338,7 @@ func (s *Suite) runOnce(ctx context.Context, p *Prepared, cfg cpu.Config) (o run
 	// Hand the registry to the simulator: this is what switches the
 	// cycle loop to its timed variant and populates Result.Timing.
 	cfg.Perf = reg
-	pprof.Do(ctx, pprof.Labels("kernel", p.Kernel.Name, "config", cfg.Name, "run", memoKey(p, cfg)), func(ctx context.Context) {
+	pprof.Do(ctx, pprof.Labels("kernel", p.Kernel.Name, "config", cfg.Name, "run", key), func(ctx context.Context) {
 		o.res, o.err = runProtected(ctx, p.Ref, cfg, s.Opts.RunTimeout)
 	})
 	return o

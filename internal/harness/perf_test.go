@@ -17,7 +17,6 @@ func TestSweepWithPerfObservability(t *testing.T) {
 	base := suite(t)
 	s := &Suite{Opts: base.Opts, Prepared: base.Prepared, Failed: map[string]error{}}
 	s.cache = map[string]runOutcome{}
-	s.inflight = map[string]*inflightRun{}
 	reg := perf.NewRegistry()
 	s.Opts.Perf = reg
 

@@ -18,8 +18,8 @@ import (
 )
 
 // TestRunOnceContract pins the run-once contract: a (kernel, config)
-// pair is simulated at most once per suite however many callers race
-// for it, any run failure is an ordinary error row backed by a failed
+// pair is simulated at most once per suite however often it is asked
+// for, any run failure is an ordinary error row backed by a failed
 // journal record of a single attempt, and only the caller's own
 // cancellation leaves a run without a terminal record (so resume
 // re-executes it).
@@ -55,25 +55,16 @@ func TestRunOnceContract(t *testing.T) {
 				cancel()
 			}
 
-			const callers = 16
-			errs := make([]error, callers)
-			var wg sync.WaitGroup
-			for i := range errs {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					_, errs[i] = s.RunContext(ctx, p, cpu.BaselineConfig())
-				}(i)
-			}
-			wg.Wait()
-			for i, err := range errs {
+			const calls = 16
+			for i := 0; i < calls; i++ {
+				_, err := s.RunContext(ctx, p, cpu.BaselineConfig())
 				switch {
 				case tc.cancel && !interrupted(err):
-					t.Errorf("caller %d: err = %v, want cooperative interruption", i, err)
+					t.Errorf("call %d: err = %v, want cooperative interruption", i, err)
 				case !tc.cancel && (err == nil || !strings.Contains(err.Error(), tc.want)):
-					t.Errorf("caller %d: err = %v, want one containing %q", i, err, tc.want)
+					t.Errorf("call %d: err = %v, want one containing %q", i, err, tc.want)
 				case !tc.cancel && interrupted(err):
-					t.Errorf("caller %d: run failure %v reads as a cooperative interruption", i, err)
+					t.Errorf("call %d: run failure %v reads as a cooperative interruption", i, err)
 				}
 			}
 
@@ -125,6 +116,29 @@ func TestRunOnceContract(t *testing.T) {
 			}
 		})
 	}
+
+	// A cancelled run is not memoized: a later call with a live context
+	// executes it again, and from then on the memo serves it.
+	t.Run("cancelled-then-live", func(t *testing.T) {
+		opts := tinyOptions()
+		hooks := 0
+		opts.FaultHook = func(kernel, config string) error { hooks++; return nil }
+		s := tinySuite(t, opts, "tiny")
+		p, cfg := s.Prepared[0], cpu.BaselineConfig()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := s.RunContext(ctx, p, cfg); !interrupted(err) {
+			t.Fatalf("cancelled call: err = %v, want cooperative interruption", err)
+		}
+		for i := 0; i < 3; i++ {
+			if res, err := s.RunContext(context.Background(), p, cfg); err != nil || res == nil {
+				t.Fatalf("live call %d: res %v, err %v", i, res, err)
+			}
+		}
+		if hooks != 2 {
+			t.Errorf("FaultHook ran %d times, want 2 (the cancelled run, then one live re-execution)", hooks)
+		}
+	})
 }
 
 // TestResumeReplaysRetiredRecordKinds resumes a journal holding records

@@ -250,12 +250,11 @@ func (s *Suite) SweepReportContext(ctx context.Context, experiment string, cfgs 
 // simulation between a started record and a terminal record.
 func (s *Suite) sweepOne(ctx context.Context, p *Prepared, cfg cpu.Config, j *SweepJournal) ReportRow {
 	row := ReportRow{Kernel: p.Kernel.Name, Config: cfg.Name}
-	var key string
+	key := s.runKey(p, cfg)
 	if j != nil {
-		key = s.runKey(p, cfg)
 		if rec, ok := j.state.Terminal[key]; ok {
 			if err := replayRecord(rec, &row); err == nil {
-				s.seedCache(p, cfg, &row)
+				s.seedCache(key, &row)
 				return row
 			}
 			// An unreplayable record (e.g. result JSON from an older,
@@ -272,7 +271,7 @@ func (s *Suite) sweepOne(ctx context.Context, p *Prepared, cfg cpu.Config, j *Sw
 			s.Opts.logf("journal append failed: %v", err)
 		}
 	}
-	o := s.runOutcomeFor(ctx, p, cfg)
+	o := s.runOutcomeFor(ctx, p, cfg, key)
 	if interrupted(o.err) {
 		// No terminal record: the run stays in flight in the journal and
 		// re-executes on resume.
@@ -334,7 +333,7 @@ func replayRecord(rec journal.Record, row *ReportRow) error {
 // seedCache installs a journal-replayed outcome into the suite's run
 // memo so figure experiments sharing the pair reuse it instead of
 // re-simulating. A replayed skip becomes a plain error.
-func (s *Suite) seedCache(p *Prepared, cfg cpu.Config, row *ReportRow) {
+func (s *Suite) seedCache(key string, row *ReportRow) {
 	o := runOutcome{res: row.Result}
 	switch {
 	case row.Error != "":
@@ -342,7 +341,6 @@ func (s *Suite) seedCache(p *Prepared, cfg cpu.Config, row *ReportRow) {
 	case row.Skipped != "":
 		o.err = errors.New(row.Skipped)
 	}
-	key := memoKey(p, cfg)
 	s.mu.Lock()
 	if _, ok := s.cache[key]; !ok {
 		s.cache[key] = o

@@ -3,9 +3,11 @@ package progen
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"spear/internal/asm"
@@ -154,11 +156,52 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		"", "b6", "b6_b7", "z9", DefaultSpec().String() + "_b6",
 		"b6_k8_l2_t6_i400_I150_m0.3_p2_c2_d0.4_B0.7_f0.15_C0.1_D32768", // missing G
 		"bx_k8_l2_t6_i400_I150_m0.3_p2_c2_d0.4_B0.7_f0.15_C0.1_D32768_G400000",
+		"b6_k8_l2_t6_i400_I150_mNaN_p2_c2_d0.4_B0.7_f0.15_C0.1_D32768_G400000",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) should fail", bad)
 		}
 	}
+}
+
+// FuzzParseSpec feeds arbitrary text to ParseSpec, the decoder behind
+// untrusted "gen:<seed>:<spec>" kernel names. Every accepted spec must
+// validate, keep its probability knobs in [0,1] (NaN included), render
+// without the separators that -kernels splitting and journal keys rely
+// on, and round-trip through String.
+func FuzzParseSpec(f *testing.F) {
+	f.Add(DefaultSpec().String())
+	f.Add(RandomSpec(7).String())
+	f.Add("G400000_D32768_C0.1_f0.15_B0.7_d0.4_c2_p2_m0.3_I150_i400_t6_l2_k8_b6")
+	f.Add("b6_k8_l2_t6_i400_I150_mNaN_p2_c2_d0.4_B0.7_f0.15_C0.1_D32768_G400000")
+	f.Add("b6_k8_l2_t6_i400_I150_m+Inf_p2_c2_d0.4_B0.7_f0.15_C0.1_D32768_G400000")
+	f.Add("b6_k8_l2_t6_i400_I150_m0x1p-2_p2_c2_d-0_B0.7_f0.15_C0.1_D32768_G400000")
+	f.Add("b6_b6")
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := ParseSpec(text)
+		if err != nil {
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("ParseSpec(%q) accepted a spec that fails Validate: %v", text, err)
+		}
+		for _, v := range []float64{s.Mem, s.Branch, s.Bias, s.FP, s.Calls} {
+			if math.IsNaN(v) || v < 0 || v > 1 {
+				t.Fatalf("ParseSpec(%q) accepted probability knob %v", text, v)
+			}
+		}
+		enc := s.String()
+		if strings.ContainsAny(enc, ", ") {
+			t.Fatalf("String() = %q contains a comma or space", enc)
+		}
+		back, err := ParseSpec(enc)
+		if err != nil {
+			t.Fatalf("ParseSpec(String()) = %v for %q (from %q)", err, enc, text)
+		}
+		if back != s {
+			t.Fatalf("round trip mismatch: %q -> %+v -> %q -> %+v", text, s, enc, back)
+		}
+	})
 }
 
 // TestKnobsShapeCharacter checks the knobs actually steer the instruction

@@ -97,7 +97,10 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-func bad01(v float64) bool { return v < 0 || v > 1 }
+// bad01 reports a probability knob outside [0,1]. It is written as the
+// negation of the in-range test so that NaN, for which every comparison
+// is false, is rejected too.
+func bad01(v float64) bool { return !(v >= 0 && v <= 1) }
 
 // specFields maps the canonical single-letter keys to accessors, in
 // canonical emission order.

@@ -3,11 +3,9 @@ package sched
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"spear/internal/cpu"
 	"spear/internal/harness"
-	"spear/internal/journal"
 	"spear/internal/workloads"
 )
 
@@ -52,35 +50,11 @@ func ResolveConfigs(names []string) ([]cpu.Config, error) {
 	return out, nil
 }
 
-// suiteEngine adapts one prebuilt harness.Suite to the Engine interface;
-// spearbench uses it (the CLI builds its suite up front and reuses it
-// for the figure experiments and -autoprofile).
-type suiteEngine struct{ s *harness.Suite }
-
-// EngineForSuite wraps an existing suite as an Engine. The request's
-// Kernels/Seed are ignored — the suite's own preparation and options
-// are the identity; the caller keeps them consistent.
-func EngineForSuite(s *harness.Suite) Engine { return &suiteEngine{s: s} }
-
-func (e *suiteEngine) Sweep(ctx context.Context, req Request, j *harness.SweepJournal) (*harness.Report, error) {
-	cfgs, err := ResolveConfigs(req.Configs)
-	if err != nil {
-		return nil, err
-	}
-	return e.s.SweepReportContext(ctx, req.experiment(), cfgs, j), nil
-}
-
-func (e *suiteEngine) Validate(req Request) error {
-	_, err := ResolveConfigs(req.Configs)
-	return err
-}
-
-// SuiteEngine is the server-side engine: it builds harness suites on
-// demand and keeps them warm across jobs, so a server that has already
-// prepared (kernels, seed) once serves every later identical sweep from
-// the in-process run memo — and every restart serves them from the
-// journal. Safe for concurrent use; concurrent jobs needing the same
-// suite build it once (singleflight).
+// SuiteEngine is the engine every sweep runs through: each Sweep
+// prepares its own suite from the request's kernels and seed, runs it,
+// and drops it. Suites are not kept across jobs: identical requests are
+// served by the scheduler's job dedup and, after a restart, by the
+// report store. Safe for concurrent use.
 type SuiteEngine struct {
 	// Base is the options template: compiler knobs, per-sweep pool
 	// width, perf registry. Kernels and Seed are overlaid
@@ -89,88 +63,20 @@ type SuiteEngine struct {
 	// NewSuite overrides suite construction (tests substitute synthetic
 	// suites built with harness.NewStaticSuite). Nil = harness.NewSuiteContext.
 	NewSuite func(ctx context.Context, opts harness.Options) (*harness.Suite, error)
-	// MaxSuites caps the warm-suite cache (default 8). Requests beyond
-	// the cap still run — on an ephemeral, uncached suite — so the cap
-	// bounds memory, never availability.
-	MaxSuites int
-
-	mu     sync.Mutex
-	suites map[string]*suiteSlot
-}
-
-// suiteSlot is one singleflight suite build: ready closes when suite/err
-// are set.
-type suiteSlot struct {
-	ready chan struct{}
-	suite *harness.Suite
-	err   error
 }
 
 // NewSuiteEngine returns a SuiteEngine with the given options template.
 func NewSuiteEngine(base harness.Options) *SuiteEngine {
-	return &SuiteEngine{Base: base, suites: map[string]*suiteSlot{}}
+	return &SuiteEngine{Base: base}
 }
 
-func (e *SuiteEngine) optsFor(req Request) harness.Options {
-	opts := e.Base
-	opts.Kernels = req.Kernels
-	opts.Seed = req.Seed
-	return opts
-}
-
-func (e *SuiteEngine) build(ctx context.Context, req Request) (*harness.Suite, error) {
-	if e.NewSuite != nil {
-		return e.NewSuite(ctx, e.optsFor(req))
-	}
-	return harness.NewSuiteContext(ctx, e.optsFor(req))
-}
-
-// suiteKey identifies a warm suite: the preparation inputs only.
-func suiteKey(req Request) string {
-	return journal.Hash(fmt.Sprintf("kernels=%v", req.Kernels), fmt.Sprintf("seed=%d", req.Seed))
-}
-
-// suite returns the warm suite for the request, building (and caching)
-// it if needed.
-func (e *SuiteEngine) suite(ctx context.Context, req Request) (*harness.Suite, error) {
-	key := suiteKey(req)
-	max := e.MaxSuites
-	if max <= 0 {
-		max = 8
-	}
-	e.mu.Lock()
-	if e.suites == nil {
-		e.suites = map[string]*suiteSlot{}
-	}
-	slot, ok := e.suites[key]
-	if !ok {
-		if len(e.suites) >= max {
-			// Cache full: run this request on an ephemeral suite rather
-			// than evicting a warm one mid-use.
-			e.mu.Unlock()
-			return e.build(ctx, req)
-		}
-		slot = &suiteSlot{ready: make(chan struct{})}
-		e.suites[key] = slot
-		e.mu.Unlock()
-		slot.suite, slot.err = e.build(ctx, req)
-		if slot.err != nil {
-			// Failed builds (including cancelled ones) are not cached:
-			// the next request retries.
-			e.mu.Lock()
-			delete(e.suites, key)
-			e.mu.Unlock()
-		}
-		close(slot.ready)
-		return slot.suite, slot.err
-	}
-	e.mu.Unlock()
-	select {
-	case <-slot.ready:
-		return slot.suite, slot.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+// EngineForSuite wraps an existing suite as an Engine; spearbench uses
+// it (the CLI builds its suite up front and reuses it for the figure
+// experiments and -autoprofile). The request's Kernels/Seed are ignored
+// — the suite's own preparation and options are the identity; the
+// caller keeps them consistent.
+func EngineForSuite(s *harness.Suite) Engine {
+	return &SuiteEngine{NewSuite: func(context.Context, harness.Options) (*harness.Suite, error) { return s, nil }}
 }
 
 func (e *SuiteEngine) Sweep(ctx context.Context, req Request, j *harness.SweepJournal) (*harness.Report, error) {
@@ -178,7 +84,14 @@ func (e *SuiteEngine) Sweep(ctx context.Context, req Request, j *harness.SweepJo
 	if err != nil {
 		return nil, err
 	}
-	s, err := e.suite(ctx, req)
+	opts := e.Base
+	opts.Kernels = req.Kernels
+	opts.Seed = req.Seed
+	build := e.NewSuite
+	if build == nil {
+		build = harness.NewSuiteContext
+	}
+	s, err := build(ctx, opts)
 	if err != nil {
 		return nil, err
 	}

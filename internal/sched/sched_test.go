@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,19 +112,54 @@ func (f *fakeEngine) Sweep(ctx context.Context, req Request, j *harness.SweepJou
 }
 
 // TestSubmitRunCoalesce exercises the happy path end to end on a real
-// (static) engine: a submitted sweep runs to done, an identical
-// resubmission — from a different client with a different deadline —
-// coalesces onto the finished job and serves the same report bytes.
+// (static) engine: concurrent identical submissions become one job that
+// builds one suite and runs to done, and an identical resubmission —
+// from a different client with a different deadline — coalesces onto
+// the finished job and serves the same report bytes.
 func TestSubmitRunCoalesce(t *testing.T) {
 	eng := staticEngine(t, tinyOptions(), tinyLoop)
+	var builds atomic.Int64
+	build := eng.NewSuite
+	eng.NewSuite = func(ctx context.Context, opts harness.Options) (*harness.Suite, error) {
+		builds.Add(1)
+		return build(ctx, opts)
+	}
 	s := New(eng, Config{Workers: 1, Log: nil})
 	defer s.Close()
 
-	job, coalesced, err := s.Submit(tinyRequest())
-	if err != nil || coalesced {
-		t.Fatalf("Submit = %v, coalesced=%v", err, coalesced)
+	const submitters = 8
+	jobs := make([]*Job, submitters)
+	fresh := make([]bool, submitters)
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			job, coalesced, err := s.Submit(tinyRequest())
+			if err != nil {
+				t.Errorf("submitter %d: %v", i, err)
+				return
+			}
+			jobs[i], fresh[i] = job, !coalesced
+		}(i)
+	}
+	wg.Wait()
+	job, admitted := jobs[0], 0
+	for i := range jobs {
+		if jobs[i] != job {
+			t.Fatalf("submitter %d got a different job for the identical request", i)
+		}
+		if fresh[i] {
+			admitted++
+		}
+	}
+	if admitted != 1 {
+		t.Errorf("%d of %d identical submissions were admitted, want 1 (the rest coalesce)", admitted, submitters)
 	}
 	snap := waitTerminal(t, job)
+	if got := builds.Load(); got != 1 {
+		t.Errorf("%d identical submissions built %d suites, want 1", submitters, got)
+	}
 	if snap.State != JobDone {
 		t.Fatalf("state = %s (%s), want done", snap.State, snap.Error)
 	}
@@ -142,8 +178,8 @@ func TestSubmitRunCoalesce(t *testing.T) {
 	if again != job {
 		t.Error("resubmission returned a different job for the identical request")
 	}
-	if again.Snapshot().Deduped != 1 {
-		t.Errorf("deduped = %d, want 1", again.Snapshot().Deduped)
+	if got := again.Snapshot().Deduped; got != submitters {
+		t.Errorf("deduped = %d, want %d", got, submitters)
 	}
 
 	// A different seed is different work: new job.

@@ -41,7 +41,7 @@ func tinyOptions() harness.Options {
 
 // staticEngine assembles src once per requested kernel name instead of
 // preparing real workloads.
-func staticEngine(t *testing.T, base harness.Options, src string) *sched.SuiteEngine {
+func staticEngine(t testing.TB, base harness.Options, src string) *sched.SuiteEngine {
 	t.Helper()
 	e := sched.NewSuiteEngine(base)
 	e.NewSuite = func(_ context.Context, opts harness.Options) (*harness.Suite, error) {
