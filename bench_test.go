@@ -17,6 +17,7 @@
 package spear
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -46,7 +47,7 @@ var (
 func sharedSuite(b *testing.B) *harness.Suite {
 	b.Helper()
 	suiteOnce.Do(func() {
-		suiteVal, suiteErr = harness.NewSuite(harness.DefaultOptions())
+		suiteVal, suiteErr = harness.NewSuiteContext(context.Background(), harness.DefaultOptions())
 	})
 	if suiteErr != nil {
 		b.Fatal(suiteErr)
@@ -64,107 +65,40 @@ func BenchmarkTable1Inventory(b *testing.B) {
 	fmt.Println(out)
 }
 
-func BenchmarkFig6Speedup(b *testing.B) {
+// benchView sweeps the pairs one report view reads on the shared suite
+// and renders the view, once per iteration.
+func benchView(b *testing.B, name string) {
 	s := sharedSuite(b)
+	var views []harness.View
+	for _, v := range harness.Views() {
+		if v.Name == name {
+			views = append(views, v)
+		}
+	}
+	if len(views) != 1 {
+		b.Fatalf("no view named %q", name)
+	}
 	var out string
 	for i := 0; i < b.N; i++ {
-		rows, err := s.Figure6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = harness.RenderFigure6(rows)
+		out = views[0].Render(s.SweepViews(context.Background(), name, views))
 	}
 	b.StopTimer()
 	fmt.Println(out)
 }
 
-func BenchmarkTable3LongIFQ(b *testing.B) {
-	s := sharedSuite(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		rows, err := s.Table3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = harness.RenderTable3(rows)
-	}
-	b.StopTimer()
-	fmt.Println(out)
-}
-
-func BenchmarkFig7SeparateFU(b *testing.B) {
-	s := sharedSuite(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		rows, err := s.Figure7()
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = harness.RenderFigure7(rows)
-	}
-	b.StopTimer()
-	fmt.Println(out)
-}
-
-func BenchmarkFig8MissReduction(b *testing.B) {
-	s := sharedSuite(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		rows, err := s.Figure8()
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = harness.RenderFigure8(rows)
-	}
-	b.StopTimer()
-	fmt.Println(out)
-}
-
-func BenchmarkFig9LatencyTolerance(b *testing.B) {
-	s := sharedSuite(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		series, err := s.Figure9()
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = harness.RenderFigure9(series)
-	}
-	b.StopTimer()
-	fmt.Println(out)
-}
+func BenchmarkFig6Speedup(b *testing.B)          { benchView(b, "fig6") }
+func BenchmarkTable3LongIFQ(b *testing.B)        { benchView(b, "table3") }
+func BenchmarkFig7SeparateFU(b *testing.B)       { benchView(b, "fig7") }
+func BenchmarkFig8MissReduction(b *testing.B)    { benchView(b, "fig8") }
+func BenchmarkFig9LatencyTolerance(b *testing.B) { benchView(b, "fig9") }
 
 // BenchmarkMotivation runs the stride-prefetcher-vs-pre-execution
 // comparison that backs the paper's introductory claim.
-func BenchmarkMotivation(b *testing.B) {
-	s := sharedSuite(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		rows, err := s.Motivation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = harness.RenderMotivation(rows)
-	}
-	b.StopTimer()
-	fmt.Println(out)
-}
+func BenchmarkMotivation(b *testing.B) { benchView(b, "motivation") }
 
 // BenchmarkHybridClaim compares software-spawned against hardware-triggered
 // pre-execution (the paper's central hybrid argument).
-func BenchmarkHybridClaim(b *testing.B) {
-	s := sharedSuite(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		rows, err := s.Hybrid()
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = harness.RenderHybrid(rows)
-	}
-	b.StopTimer()
-	fmt.Println(out)
-}
+func BenchmarkHybridClaim(b *testing.B) { benchView(b, "hybrid") }
 
 // BenchmarkAblations runs the design-choice ablation studies (prefetch
 // range, extraction bandwidth, trigger occupancy, p-thread priority) on
@@ -193,15 +127,15 @@ var (
 
 // BenchmarkSweepParallel measures the journaled sweep engine's wall
 // clock at worker-pool widths 1/2/4/8 (run with `-bench SweepParallel
-// -benchtime 1x`). Every iteration drops the suite's run memo so each
-// sweep re-simulates the full (kernel, config) grid; the report row
+// -benchtime 1x`). Every iteration re-simulates the full (kernel,
+// config) grid; the report row
 // order — and therefore the serialized report — is identical at every
 // width, so this measures scheduling, not semantics.
 func BenchmarkSweepParallel(b *testing.B) {
 	sweepSuiteOnce.Do(func() {
 		opts := harness.DefaultOptions()
 		opts.Kernels = []string{"mcf", "field", "pointer"}
-		sweepSuiteVal, sweepSuiteErr = harness.NewSuite(opts)
+		sweepSuiteVal, sweepSuiteErr = harness.NewSuiteContext(context.Background(), opts)
 	})
 	if sweepSuiteErr != nil {
 		b.Fatal(sweepSuiteErr)
@@ -211,8 +145,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			s.Opts.Parallel = workers
 			for i := 0; i < b.N; i++ {
-				s.ResetRunCache()
-				rep := s.SweepReport("bench", harness.StandardConfigs())
+				rep := s.SweepReportContext(context.Background(), "bench", harness.StandardConfigs(), nil)
 				for _, row := range rep.Rows {
 					if row.Error != "" || row.Skipped != "" {
 						b.Fatalf("%s on %s: error %q, skipped %q", row.Kernel, row.Config, row.Error, row.Skipped)
@@ -294,12 +227,12 @@ func BenchmarkStageReportSerialize(b *testing.B) {
 	sweepSuiteOnce.Do(func() {
 		opts := harness.DefaultOptions()
 		opts.Kernels = []string{"mcf", "field", "pointer"}
-		sweepSuiteVal, sweepSuiteErr = harness.NewSuite(opts)
+		sweepSuiteVal, sweepSuiteErr = harness.NewSuiteContext(context.Background(), opts)
 	})
 	if sweepSuiteErr != nil {
 		b.Fatal(sweepSuiteErr)
 	}
-	rep := sweepSuiteVal.SweepReport("bench-serialize", harness.StandardConfigs())
+	rep := sweepSuiteVal.SweepReportContext(context.Background(), "bench-serialize", harness.StandardConfigs(), nil)
 	for _, row := range rep.Rows {
 		if row.Error != "" || row.Skipped != "" {
 			b.Fatalf("%s on %s: error %q, skipped %q", row.Kernel, row.Config, row.Error, row.Skipped)

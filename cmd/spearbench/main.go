@@ -58,15 +58,21 @@
 // Exit codes:
 //
 //	0  complete — every requested run finished (errors included as rows)
-//	3  partial  — the sweep was interrupted; resume it with -journal/-resume
+//	3  partial  — the sweep or figure run was interrupted; its output is
+//	             partial (resume a sweep with -journal/-resume)
 //	5  damaged  — -fsck found torn or corrupt journal records
 //	1  hard failure — bad flags, unknown kernel, I/O errors, ...
 //
 // Running everything takes a few minutes; use -kernels to restrict the set.
-// Sweeps run in partial-results mode: a failing (kernel, machine) pair
-// renders as a per-row error instead of aborting the experiment, kernels
-// that fail to prepare are reported on stderr and skipped, and each run
-// executes once: a failure, including a watchdog expiry, is one error row.
+// Every figure and table is a view of one sweep report: the selected
+// experiments' (kernel, machine) pairs run once, in one pooled sweep, and
+// each experiment renders from the result. Sweeps run in partial-results
+// mode: a failing (kernel, machine) pair renders as a per-row error
+// instead of aborting the experiment, kernels that fail to prepare are
+// reported on stderr and render as error rows, and each run executes
+// once: a failure, including a watchdog expiry, is one error row. An
+// interrupted figure run prints its tables with the unfinished pairs
+// marked skipped and exits 3.
 //
 // The faults experiment injects every fault class (corrupt slice masks,
 // bogus trigger PCs, truncated live-in sets, flipped opcode bits in the
@@ -107,9 +113,9 @@ const (
 	exitDamaged = exitcode.FsckDamaged
 )
 
-// errPartial marks a gracefully interrupted sweep: the partial report was
-// written and the process exits with code 3.
-var errPartial = errors.New("sweep interrupted; resume with -journal/-resume")
+// errPartial marks a gracefully interrupted sweep or figure run: the
+// partial report or tables were written and the process exits with code 3.
+var errPartial = errors.New("interrupted; output is partial (sweeps resume with -journal/-resume)")
 
 // errDamaged marks an -fsck walk that found torn or corrupt records: the
 // report was printed and the process exits with code 5.
@@ -138,7 +144,8 @@ func main() {
 		fmt.Fprint(flag.CommandLine.Output(), `
 Exit codes:
   0  complete — every requested run finished (per-run errors included as rows)
-  3  partial  — interrupted by SIGINT/SIGTERM; resume with -journal <dir> -resume
+  3  partial  — interrupted by SIGINT/SIGTERM; output is partial
+               (resume a -json/-csv sweep with -journal <dir> -resume)
   5  damaged  — -fsck found torn or corrupt journal records
   1  hard failure
 
@@ -350,7 +357,6 @@ func run(ctx context.Context, ro runOptions) error {
 		}
 		mallocs0, bytes0 := sweepMemStats()
 		sweepStart := time.Now()
-		cfgs := harness.StandardConfigs()
 		rep, _, err := sched.Exec(ctx, sched.EngineForSuite(suite), sched.Request{Seed: seed, Experiment: "sweep"}, spec)
 		if err != nil {
 			return err
@@ -373,7 +379,7 @@ func run(ctx context.Context, ro runOptions) error {
 			fmt.Fprintf(os.Stderr, "spearbench: wrote perf baseline %s\n", ro.perfOut)
 		}
 		if ro.autoProfile != "" && !rep.Interrupted {
-			if err := autoProfile(ctx, suite, cfgs, ro.autoProfile); err != nil {
+			if err := autoProfile(ctx, suite, rep, ro.autoProfile); err != nil {
 				return err
 			}
 		}
@@ -383,59 +389,27 @@ func run(ctx context.Context, ro runOptions) error {
 		return nil
 	}
 
-	want := func(name string) bool { return experiment == "all" || experiment == name }
+	// Figure mode: one pooled sweep of every pair the selected views
+	// need, each rendered from the same report.
 	ran := false
-
-	if want("table1") {
+	if experiment == "all" || experiment == "table1" {
 		fmt.Fprintln(out, harness.RenderTable1(suite.Table1()))
 		ran = true
 	}
-	if want("fig6") {
-		rows, err := suite.Figure6()
-		if err != nil {
-			return err
+	var views []harness.View
+	for _, v := range harness.Views() {
+		if v.Name == experiment || (experiment == "all" && v.Paper) {
+			views = append(views, v)
 		}
-		fmt.Fprintln(out, harness.RenderFigure6(rows))
-		ran = true
 	}
-	if want("table3") {
-		rows, err := suite.Table3()
-		if err != nil {
-			return err
+	if len(views) > 0 {
+		rep := suite.SweepViews(ctx, experiment, views)
+		for _, v := range views {
+			fmt.Fprintln(out, v.Render(rep))
 		}
-		fmt.Fprintln(out, harness.RenderTable3(rows))
-		ran = true
-	}
-	if want("fig7") {
-		rows, err := suite.Figure7()
-		if err != nil {
-			return err
+		if rep.Interrupted {
+			return errPartial
 		}
-		fmt.Fprintln(out, harness.RenderFigure7(rows))
-		ran = true
-	}
-	if want("fig8") {
-		rows, err := suite.Figure8()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, harness.RenderFigure8(rows))
-		ran = true
-	}
-	if experiment == "motivation" {
-		rows, err := suite.Motivation()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, harness.RenderMotivation(rows))
-		ran = true
-	}
-	if experiment == "hybrid" {
-		rows, err := suite.Hybrid()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, harness.RenderHybrid(rows))
 		ran = true
 	}
 	if experiment == "ablate" {
@@ -444,14 +418,6 @@ func run(ctx context.Context, ro runOptions) error {
 			return err
 		}
 		fmt.Fprintln(out, out2)
-		ran = true
-	}
-	if want("fig9") {
-		series, err := suite.Figure9()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, harness.RenderFigure9(series))
 		ran = true
 	}
 	if experiment == "faults" {

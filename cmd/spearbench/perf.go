@@ -16,6 +16,7 @@ import (
 	"spear/internal/cpu"
 	"spear/internal/harness"
 	"spear/internal/perf"
+	"spear/internal/sched"
 )
 
 // Performance observability surfaces (DESIGN.md §13):
@@ -153,28 +154,25 @@ func unitFor(name string) string {
 	}
 }
 
-// autoProfile re-executes the sweep's slowest completed run under the
+// autoProfile re-executes the report's slowest completed run under the
 // CPU profiler and writes cpu.pprof and heap.pprof into dir. The rerun
-// bypasses the suite's memo cache (it calls the simulator directly), so
-// the profile contains one clean simulation rather than a cache hit.
-func autoProfile(ctx context.Context, suite *harness.Suite, cfgs []cpu.Config, dir string) error {
-	kernel, config, dur, ok := suite.SlowestRun()
-	if !ok {
+// calls the simulator directly, so the profile contains one clean
+// simulation of the pair.
+func autoProfile(ctx context.Context, suite *harness.Suite, rep *harness.Report, dir string) error {
+	row := rep.SlowestRow()
+	if row == nil {
 		return fmt.Errorf("autoprofile: no completed runs to profile")
 	}
+	kernel, config := row.Kernel, row.Config
+	dur := time.Duration(row.Result.Timing.WallNanos)
 	var prep *harness.Prepared
 	for _, p := range suite.Prepared {
 		if p.Kernel.Name == kernel {
 			prep = p
 		}
 	}
-	var cfg *cpu.Config
-	for i := range cfgs {
-		if cfgs[i].Name == config {
-			cfg = &cfgs[i]
-		}
-	}
-	if prep == nil || cfg == nil {
+	cfgs, err := sched.ResolveConfigs([]string{config})
+	if prep == nil || err != nil {
 		return fmt.Errorf("autoprofile: slowest run %s on %s not in this sweep", kernel, config)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -193,7 +191,7 @@ func autoProfile(ctx context.Context, suite *harness.Suite, cfgs []cpu.Config, d
 	}
 	var runErr error
 	pprof.Do(ctx, pprof.Labels("kernel", kernel, "config", config, "run", "autoprofile"), func(ctx context.Context) {
-		_, runErr = cpu.RunContext(ctx, prep.Ref, *cfg)
+		_, runErr = cpu.RunContext(ctx, prep.Ref, cfgs[0])
 	})
 	pprof.StopCPUProfile()
 	if cerr := cf.Close(); cerr != nil && runErr == nil {

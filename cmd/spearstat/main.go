@@ -176,11 +176,7 @@ func run(args []string, top int, out io.Writer) error {
 
 	fmt.Fprintln(out, renderSummary(rep))
 	if hasMachines(rep, "baseline", "SPEAR-128", "SPEAR-256") {
-		rows, err := harness.Fig6FromReport(rep)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, harness.RenderFigure6(rows))
+		fmt.Fprintln(out, harness.RenderFigure6(harness.Figure6(rep)))
 	}
 	if s := renderIntervals(rep); s != "" {
 		fmt.Fprintln(out, s)

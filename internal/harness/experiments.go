@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"spear/internal/cpu"
@@ -44,9 +45,45 @@ func RenderTable1(rows []Table1Row) string {
 	return "Table 1: benchmark inventory (scaled-down instruction counts)\n" + t.String()
 }
 
+// View is one figure or table of the evaluation, read from a sweep
+// report: the machines it needs, the kernels it needs them on, and how it
+// renders. A figure run is one sweep of the pairs its views need.
+type View struct {
+	Name string
+	// Paper marks the views of the paper's evaluation, the set that
+	// spearbench -experiment all renders.
+	Paper   bool
+	Configs []cpu.Config
+	// Kernels restricts the view to these kernels (nil = every kernel).
+	Kernels []string
+	Render  func(*Report) string
+}
+
+// Views returns every report view, the paper's in the paper's order.
+func Views() []View {
+	return []View{
+		{Name: "fig6", Paper: true, Configs: fig6Configs(), Render: func(rep *Report) string { return RenderFigure6(Figure6(rep)) }},
+		{Name: "table3", Paper: true, Configs: fig6Configs(), Render: func(rep *Report) string { return RenderTable3(Table3(Figure6(rep))) }},
+		{Name: "fig7", Paper: true, Configs: StandardConfigs(), Render: func(rep *Report) string { return RenderFigure7(Figure7(rep)) }},
+		{Name: "fig8", Paper: true, Configs: fig6Configs(), Render: func(rep *Report) string { return RenderFigure8(Figure8(Figure6(rep))) }},
+		{Name: "fig9", Paper: true, Configs: fig9Configs(), Kernels: Fig9Kernels, Render: func(rep *Report) string { return RenderFigure9(Figure9(rep)) }},
+		{Name: "motivation", Configs: motivationConfigs(), Render: func(rep *Report) string { return RenderMotivation(Motivation(rep)) }},
+		{Name: "hybrid", Configs: hybridConfigs(), Render: func(rep *Report) string { return RenderHybrid(Hybrid(rep)) }},
+	}
+}
+
+// configNames returns the machine names of cfgs, in order.
+func configNames(cfgs []cpu.Config) []string {
+	names := make([]string, len(cfgs))
+	for i, c := range cfgs {
+		names[i] = c.Name
+	}
+	return names
+}
+
 // Fig6Row is one benchmark's normalized performance (baseline = 1.0).
-// A non-nil Err marks a kernel whose runs failed; the other rows of the
-// sweep are still valid (partial-results mode).
+// A non-nil Err marks a kernel whose runs failed or were skipped; the
+// other rows of the sweep are still valid (partial-results mode).
 type Fig6Row struct {
 	Name     string
 	Base     *cpu.Result
@@ -57,31 +94,35 @@ type Fig6Row struct {
 	Err      error
 }
 
-// Figure6 runs baseline, SPEAR-128, and SPEAR-256 on every kernel. A
-// failing kernel produces a row with Err set instead of aborting the
-// sweep.
-func (s *Suite) Figure6() ([]Fig6Row, error) {
-	cfgs := []cpu.Config{cpu.BaselineConfig(), cpu.SPEARConfig(128, false), cpu.SPEARConfig(256, false)}
-	rows := make([]Fig6Row, 0, len(s.Prepared))
-	for _, p := range s.Prepared {
-		res, err := s.RunConfigs(p, cfgs)
-		row := Fig6Row{
-			Name:     p.Kernel.Name,
-			Base:     res["baseline"],
-			Spear128: res["SPEAR-128"],
-			Spear256: res["SPEAR-256"],
-			Err:      err,
-		}
-		if row.Err == nil && (row.Base == nil || row.Spear128 == nil || row.Spear256 == nil) {
-			row.Err = fmt.Errorf("harness: %s: missing configuration results", p.Kernel.Name)
-		}
-		if row.Err == nil && row.Base.IPC > 0 {
-			row.Norm128 = row.Spear128.IPC / row.Base.IPC
-			row.Norm256 = row.Spear256.IPC / row.Base.IPC
+// fig6Configs returns the three machines of Figure 6, Table 3 and
+// Figure 8: baseline, SPEAR-128, and SPEAR-256.
+func fig6Configs() []cpu.Config {
+	return []cpu.Config{cpu.BaselineConfig(), cpu.SPEARConfig(128, false), cpu.SPEARConfig(256, false)}
+}
+
+// Figure6 reads the normalized-IPC rows of Figure 6 from a report that
+// covers the fig6Configs machines. A kernel whose runs failed, were
+// skipped, or are missing gets a row with Err set; the other rows stay
+// valid (partial-results mode). Because float64 values survive the JSON
+// round trip exactly, a report read back from disk renders the same
+// table digit for digit.
+func Figure6(rep *Report) []Fig6Row {
+	rows := make([]Fig6Row, 0, len(rep.Kernels))
+	for _, name := range rep.Kernels {
+		row := Fig6Row{Name: name}
+		res, err := rep.results(name, configNames(fig6Configs())...)
+		if err != nil {
+			row.Err = err
+		} else {
+			row.Base, row.Spear128, row.Spear256 = res[0], res[1], res[2]
+			if row.Base.IPC > 0 {
+				row.Norm128 = row.Spear128.IPC / row.Base.IPC
+				row.Norm256 = row.Spear256.IPC / row.Base.IPC
+			}
 		}
 		rows = append(rows, row)
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderFigure6 formats the normalized-IPC series of Figure 6. Failed
@@ -113,13 +154,9 @@ type Table3Row struct {
 	Err         error
 }
 
-// Table3 derives the paper's Table 3 from the Figure 6 runs; failing
+// Table3 derives the paper's Table 3 from the Figure 6 rows; failing
 // kernels carry their error through.
-func (s *Suite) Table3() ([]Table3Row, error) {
-	fig6, err := s.Figure6()
-	if err != nil {
-		return nil, err
-	}
+func Table3(fig6 []Fig6Row) []Table3Row {
 	rows := make([]Table3Row, 0, len(fig6))
 	for _, r := range fig6 {
 		if r.Err != nil {
@@ -136,7 +173,7 @@ func (s *Suite) Table3() ([]Table3Row, error) {
 		}
 		rows = append(rows, row)
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderTable3 formats Table 3.
@@ -162,33 +199,25 @@ type Fig7Row struct {
 	Err       error
 }
 
-// Figure7 runs all five machine models on every kernel; a failing kernel
-// yields a row with Err set.
-func (s *Suite) Figure7() ([]Fig7Row, error) {
-	cfgs := StandardConfigs()
-	rows := make([]Fig7Row, 0, len(s.Prepared))
-	for _, p := range s.Prepared {
-		res, err := s.RunConfigs(p, cfgs)
-		row := Fig7Row{Name: p.Kernel.Name, Err: err}
-		if row.Err == nil {
-			for _, cfg := range cfgs {
-				if res[cfg.Name] == nil {
-					row.Err = fmt.Errorf("harness: %s: missing %s result", p.Kernel.Name, cfg.Name)
-					break
-				}
-			}
-		}
-		if row.Err == nil {
-			if base := res["baseline"].IPC; base > 0 {
-				row.Norm128 = res["SPEAR-128"].IPC / base
-				row.Norm256 = res["SPEAR-256"].IPC / base
-				row.NormSf128 = res["SPEAR.sf-128"].IPC / base
-				row.NormSf256 = res["SPEAR.sf-256"].IPC / base
-			}
+// Figure7 reads all five StandardConfigs machines of every kernel from
+// the report; a kernel without all five results yields a row with Err
+// set.
+func Figure7(rep *Report) []Fig7Row {
+	rows := make([]Fig7Row, 0, len(rep.Kernels))
+	for _, name := range rep.Kernels {
+		row := Fig7Row{Name: name}
+		res, err := rep.results(name, configNames(StandardConfigs())...)
+		if err != nil {
+			row.Err = err
+		} else if base := res[0].IPC; base > 0 {
+			row.Norm128 = res[1].IPC / base
+			row.Norm256 = res[2].IPC / base
+			row.NormSf128 = res[3].IPC / base
+			row.NormSf256 = res[4].IPC / base
 		}
 		rows = append(rows, row)
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderFigure7 formats the Figure 7 series.
@@ -223,13 +252,9 @@ type Fig8Row struct {
 	Err          error
 }
 
-// Figure8 measures main-thread demand-miss reduction; failing kernels
-// carry their error through from the Figure 6 runs.
-func (s *Suite) Figure8() ([]Fig8Row, error) {
-	fig6, err := s.Figure6()
-	if err != nil {
-		return nil, err
-	}
+// Figure8 derives the main-thread demand-miss reduction from the Figure
+// 6 rows; failing kernels carry their error through.
+func Figure8(fig6 []Fig6Row) []Fig8Row {
 	rows := make([]Fig8Row, 0, len(fig6))
 	for _, r := range fig6 {
 		if r.Err != nil {
@@ -245,7 +270,7 @@ func (s *Suite) Figure8() ([]Fig8Row, error) {
 			Reduction256: stats.ReductionPercent(r.Base.MainL1Misses(), r.Spear256.MainL1Misses()),
 		})
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderFigure8 formats the miss-reduction series.
@@ -284,37 +309,51 @@ type Fig9Series struct {
 }
 
 // Fig9Latencies are the five latency configurations of Figure 9, from
-// shortest (mem 40 / L2 4) to longest (mem 200 / L2 20).
+// shortest (mem 40 / L2 4) to longest (mem 200 / L2 20). The middle point
+// is the standard hierarchy of every other experiment.
 var Fig9Latencies = [5][2]int{{4, 40}, {8, 80}, {12, 120}, {16, 160}, {20, 200}}
 
 // Fig9Kernels are the six benchmarks the paper sweeps.
 var Fig9Kernels = []string{"pointer", "update", "nbh", "dm", "mcf", "vpr"}
 
-// Figure9 sweeps memory latency on the six paper benchmarks.
-func (s *Suite) Figure9() ([]Fig9Series, error) {
+// fig9PointConfigs returns the fig6Configs machines at one Figure 9
+// latency point. A variant is named after its machine and memory latency
+// ("baseline@mem40"); at the standard latencies it is the standard
+// machine itself, so Figure 9 shares those runs with Figure 6 instead of
+// simulating them twice.
+func fig9PointConfigs(lat [2]int) []cpu.Config {
+	cfgs := fig6Configs()
+	for i, c := range cfgs {
+		cfgs[i].Hierarchy = c.Hierarchy.WithLatencies(lat[0], lat[1])
+		if cfgs[i].Hierarchy != c.Hierarchy {
+			cfgs[i].Name = fmt.Sprintf("%s@mem%d", c.Name, lat[1])
+		}
+	}
+	return cfgs
+}
+
+// fig9Configs returns the machines of every Fig9Latencies point,
+// latency-major.
+func fig9Configs() []cpu.Config {
+	var out []cpu.Config
+	for _, lat := range Fig9Latencies {
+		out = append(out, fig9PointConfigs(lat)...)
+	}
+	return out
+}
+
+// Figure9 reads the memory-latency sweep of the Fig9Kernels the report
+// covers. A series stops at its first latency point without all three
+// results and carries that point's error.
+func Figure9(rep *Report) []Fig9Series {
 	var out []Fig9Series
 	for _, name := range Fig9Kernels {
-		var p *Prepared
-		for _, q := range s.Prepared {
-			if q.Kernel.Name == name {
-				p = q
-				break
-			}
-		}
-		if p == nil {
-			continue // kernel not selected in this suite
+		if !slices.Contains(rep.Kernels, name) {
+			continue // kernel not selected in this sweep
 		}
 		series := Fig9Series{Name: name}
 		for _, lat := range Fig9Latencies {
-			var cfgs []cpu.Config
-			for _, base := range []cpu.Config{cpu.BaselineConfig(), cpu.SPEARConfig(128, false), cpu.SPEARConfig(256, false)} {
-				base.Hierarchy = base.Hierarchy.WithLatencies(lat[0], lat[1])
-				cfgs = append(cfgs, base)
-			}
-			res, err := s.RunConfigs(p, cfgs)
-			if err == nil && (res["baseline"] == nil || res["SPEAR-128"] == nil || res["SPEAR-256"] == nil) {
-				err = fmt.Errorf("harness: %s: missing configuration results", name)
-			}
+			res, err := rep.results(name, configNames(fig9PointConfigs(lat))...)
 			if err != nil {
 				// Keep the points gathered so far and mark the series.
 				series.Err = err
@@ -323,13 +362,13 @@ func (s *Suite) Figure9() ([]Fig9Series, error) {
 			pt := func(r *cpu.Result) Fig9Point {
 				return Fig9Point{MemLatency: lat[1], L2Latency: lat[0], IPC: r.IPC}
 			}
-			series.Base = append(series.Base, pt(res["baseline"]))
-			series.Spear128 = append(series.Spear128, pt(res["SPEAR-128"]))
-			series.Spear256 = append(series.Spear256, pt(res["SPEAR-256"]))
+			series.Base = append(series.Base, pt(res[0]))
+			series.Spear128 = append(series.Spear128, pt(res[1]))
+			series.Spear256 = append(series.Spear256, pt(res[2]))
 		}
 		out = append(out, series)
 	}
-	return out, nil
+	return out
 }
 
 // Fig9Summary computes the average performance loss at the longest latency

@@ -1,8 +1,9 @@
 package harness
 
 import (
-	"errors"
+	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,10 +25,21 @@ func mcfPrepared(t *testing.T) *Prepared {
 }
 
 // derivedSuite builds a fresh Suite around existing Prepared entries so
-// tests can poison caches or inject broken kernels without touching the
-// shared memoized suite.
+// tests can change options or inject broken kernels without touching the
+// shared suite.
 func derivedSuite(opts Options, prepared ...*Prepared) *Suite {
-	return &Suite{Opts: opts, Prepared: prepared, cache: map[string]runOutcome{}, Failed: map[string]error{}}
+	return &Suite{Opts: opts, Prepared: prepared, Failed: map[string]error{}}
+}
+
+// paperViews returns the views spearbench -experiment all renders.
+func paperViews() []View {
+	var out []View
+	for _, v := range Views() {
+		if v.Paper {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 func TestInjectorDeterministic(t *testing.T) {
@@ -162,6 +174,8 @@ func brokenSuite(t *testing.T) *Suite {
 
 func TestSweepsReturnPartialResults(t *testing.T) {
 	s := brokenSuite(t)
+	rep := s.SweepViews(context.Background(), "partial", paperViews())
+	fig6 := Figure6(rep)
 
 	type rowView struct {
 		name string
@@ -169,21 +183,20 @@ func TestSweepsReturnPartialResults(t *testing.T) {
 	}
 	checks := []struct {
 		name string
-		rows func() ([]rowView, string, error)
+		rows func() ([]rowView, string)
 	}{
-		{"fig6", func() ([]rowView, string, error) {
-			rows, err := s.Figure6()
+		{"fig6", func() ([]rowView, string) {
 			var out []rowView
-			for _, r := range rows {
+			for _, r := range fig6 {
 				out = append(out, rowView{r.Name, r.Err})
 				if r.Err == nil && (r.Base == nil || r.Norm128 <= 0) {
 					t.Errorf("fig6 %s: clean row missing results", r.Name)
 				}
 			}
-			return out, RenderFigure6(rows), err
+			return out, RenderFigure6(fig6)
 		}},
-		{"table3", func() ([]rowView, string, error) {
-			rows, err := s.Table3()
+		{"table3", func() ([]rowView, string) {
+			rows := Table3(fig6)
 			var out []rowView
 			for _, r := range rows {
 				out = append(out, rowView{r.Name, r.Err})
@@ -191,10 +204,10 @@ func TestSweepsReturnPartialResults(t *testing.T) {
 					t.Errorf("table3 %s: clean row missing results", r.Name)
 				}
 			}
-			return out, RenderTable3(rows), err
+			return out, RenderTable3(rows)
 		}},
-		{"fig7", func() ([]rowView, string, error) {
-			rows, err := s.Figure7()
+		{"fig7", func() ([]rowView, string) {
+			rows := Figure7(rep)
 			var out []rowView
 			for _, r := range rows {
 				out = append(out, rowView{r.Name, r.Err})
@@ -202,22 +215,19 @@ func TestSweepsReturnPartialResults(t *testing.T) {
 					t.Errorf("fig7 %s: clean row missing results", r.Name)
 				}
 			}
-			return out, RenderFigure7(rows), err
+			return out, RenderFigure7(rows)
 		}},
-		{"fig8", func() ([]rowView, string, error) {
-			rows, err := s.Figure8()
+		{"fig8", func() ([]rowView, string) {
+			rows := Figure8(fig6)
 			var out []rowView
 			for _, r := range rows {
 				out = append(out, rowView{r.Name, r.Err})
 			}
-			return out, RenderFigure8(rows), err
+			return out, RenderFigure8(rows)
 		}},
 	}
 	for _, c := range checks {
-		rows, render, err := c.rows()
-		if err != nil {
-			t.Fatalf("%s: sweep aborted instead of returning partial results: %v", c.name, err)
-		}
+		rows, render := c.rows()
 		if len(rows) != 2 {
 			t.Fatalf("%s: rows = %d, want 2", c.name, len(rows))
 		}
@@ -238,12 +248,9 @@ func TestSweepsReturnPartialResults(t *testing.T) {
 		}
 	}
 
-	// Figure 9 sweeps only mcf from this suite; its series must carry the
+	// Figure 9 reads only mcf from this suite; its series must carry the
 	// error rather than abort.
-	series, err := s.Figure9()
-	if err != nil {
-		t.Fatalf("fig9: %v", err)
-	}
+	series := Figure9(rep)
 	if len(series) != 1 || series[0].Name != "mcf" {
 		t.Fatalf("fig9 series = %+v", series)
 	}
@@ -255,24 +262,49 @@ func TestSweepsReturnPartialResults(t *testing.T) {
 	}
 }
 
-func TestRunMemoizesErrors(t *testing.T) {
+// TestViewsReportOneErrorPerPair pins that a failing pair is simulated
+// once however many views read it, and that every view reports the same
+// error from its one report row.
+func TestViewsReportOneErrorPerPair(t *testing.T) {
 	s := brokenSuite(t)
-	var broken *Prepared
-	for _, p := range s.Prepared {
-		if p.Kernel.Name == "mcf" {
-			broken = p
+	runs := map[string]int{}
+	var mu sync.Mutex
+	s.Opts.FaultHook = func(kernel, config string) error {
+		mu.Lock()
+		runs[kernel+"/"+config]++
+		mu.Unlock()
+		return nil
+	}
+	rep := s.SweepViews(context.Background(), "errors", paperViews())
+	for pair, n := range runs {
+		if n != 1 {
+			t.Errorf("%s simulated %d times, want once", pair, n)
 		}
 	}
-	_, err1 := s.Run(broken, cpu.BaselineConfig())
-	_, err2 := s.Run(broken, cpu.BaselineConfig())
-	if err1 == nil || err2 == nil {
-		t.Fatal("broken kernel ran successfully")
+	row := rep.Lookup("mcf", "baseline")
+	if row == nil || !strings.Contains(row.Error, cpu.ErrValidation.Error()) {
+		t.Fatalf("broken pair row = %+v, want a validation error", row)
 	}
-	if !errors.Is(err1, cpu.ErrValidation) {
-		t.Errorf("err = %v, want ErrValidation", err1)
+	fig6 := Figure6(rep)
+	const mcf = 1 // brokenSuite prepares field, then mcf
+	if rep.Kernels[mcf] != "mcf" {
+		t.Fatalf("kernels = %v", rep.Kernels)
 	}
-	if err1.Error() != err2.Error() {
-		t.Error("error not memoized consistently")
+	viewErrs := map[string]error{
+		"fig6":   fig6[mcf].Err,
+		"table3": Table3(fig6)[mcf].Err,
+		"fig7":   Figure7(rep)[mcf].Err,
+		"fig8":   Figure8(fig6)[mcf].Err,
+	}
+	for view, err := range viewErrs {
+		if err == nil || err.Error() != row.Error {
+			t.Errorf("%s: mcf error %v, want the report row's %q", view, err, row.Error)
+		}
+	}
+	// Figure 9's series stops at its first point, the shortest latency.
+	first := rep.Lookup("mcf", fig9PointConfigs(Fig9Latencies[0])[0].Name)
+	if err := Figure9(rep)[0].Err; first == nil || err == nil || err.Error() != first.Error {
+		t.Errorf("fig9: mcf error %v, want the first latency point's row %+v", err, first)
 	}
 }
 
@@ -280,12 +312,13 @@ func TestRunWatchdog(t *testing.T) {
 	opts := suite(t).Opts
 	opts.RunTimeout = time.Nanosecond
 	s := derivedSuite(opts, mcfPrepared(t))
-	_, err := s.Run(s.Prepared[0], cpu.BaselineConfig())
-	if !errors.Is(err, cpu.ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
+	rep := s.SweepReportContext(context.Background(), "watchdog", []cpu.Config{cpu.BaselineConfig()}, nil)
+	row := rep.Rows[0]
+	if rep.Interrupted || row.Skipped != "" || !strings.Contains(row.Error, cpu.ErrInterrupted.Error()) {
+		t.Fatalf("row %+v (report interrupted %v), want an ErrInterrupted error row", row, rep.Interrupted)
 	}
-	if !strings.Contains(err.Error(), "watchdog") {
-		t.Errorf("watchdog error unlabeled: %v", err)
+	if !strings.Contains(row.Error, "watchdog") {
+		t.Errorf("watchdog error unlabeled: %v", row.Error)
 	}
 }
 
@@ -301,8 +334,8 @@ func TestRunPanicIsolation(t *testing.T) {
 	s := derivedSuite(opts, mcfPrepared(t))
 	cfg := cpu.BaselineConfig()
 	cfg.Trace, cfg.TraceCycles = panicWriter{}, 100
-	_, err := s.Run(s.Prepared[0], cfg)
-	if err == nil || !strings.Contains(err.Error(), "panic in simulation") {
-		t.Errorf("err = %v, want recovered panic", err)
+	rep := s.SweepReportContext(context.Background(), "panic", []cpu.Config{cfg}, nil)
+	if row := rep.Rows[0]; !strings.Contains(row.Error, "panic in simulation") {
+		t.Errorf("row %+v, want recovered panic", row)
 	}
 }

@@ -2,13 +2,12 @@ package harness
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 )
 
 // FuzzReadReport drives the report decoder with arbitrary bytes: it must
 // never panic, must fail only with typed errors, and any report it does
-// accept must survive re-serialization and Figure 6 reconstruction.
+// accept must survive re-serialization and every report view.
 func FuzzReadReport(f *testing.F) {
 	var buf bytes.Buffer
 	if err := sampleReport().WriteJSON(&buf); err != nil {
@@ -41,10 +40,10 @@ func FuzzReadReport(f *testing.F) {
 		if err := rep.WriteCSV(&csv); err != nil {
 			t.Errorf("accepted report does not serialize to CSV: %v", err)
 		}
-		// Figure 6 reconstruction must degrade to typed errors, not panic,
-		// on sparse or skip-laden reports.
-		if _, err := Fig6FromReport(rep); err != nil && errors.Is(err, ErrReportSchema) {
-			t.Errorf("Fig6FromReport leaked a schema error: %v", err)
+		// Every view must degrade to error rows, not panic, on sparse or
+		// skip-laden reports.
+		for _, v := range Views() {
+			v.Render(rep)
 		}
 	})
 }

@@ -136,7 +136,7 @@ func TestGeneratedSweepByteIdentical(t *testing.T) {
 		opts := genOptions()
 		opts.Kernels = kernels
 		opts.Parallel = parallel
-		s, err := NewSuite(opts)
+		s, err := NewSuiteContext(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,16 +1,20 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
-	"spear/internal/cpu"
 	"spear/internal/workloads"
 )
 
 // smallSuite prepares a two-kernel suite shared by the tests in this file
-// (preparation compiles the kernels, which dominates test time).
-var smallSuite *Suite
+// (preparation compiles the kernels, which dominates test time), and
+// smallReport is its one sweep of every pair the views read.
+var (
+	smallSuite  *Suite
+	smallReport *Report
+)
 
 func suite(t *testing.T) *Suite {
 	t.Helper()
@@ -18,7 +22,7 @@ func suite(t *testing.T) *Suite {
 		opts := DefaultOptions()
 		opts.Kernels = []string{"mcf", "field"}
 		opts.Parallel = 4
-		s, err := NewSuite(opts)
+		s, err := NewSuiteContext(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,10 +31,18 @@ func suite(t *testing.T) *Suite {
 	return smallSuite
 }
 
+func viewsReport(t *testing.T) *Report {
+	t.Helper()
+	if smallReport == nil {
+		smallReport = suite(t).SweepViews(context.Background(), "views", Views())
+	}
+	return smallReport
+}
+
 func TestNewSuiteRejectsUnknownKernel(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Kernels = []string{"nonesuch"}
-	if _, err := NewSuite(opts); err == nil {
+	if _, err := NewSuiteContext(context.Background(), opts); err == nil {
 		t.Error("unknown kernel accepted")
 	}
 }
@@ -63,39 +75,36 @@ func TestPrepare(t *testing.T) {
 	}
 }
 
-func TestRunMemoizes(t *testing.T) {
-	s := suite(t)
+// TestRunKeySeparatesLatencyVariants pins that a latency variant never
+// shares a run key (and so a journal record or report row) with the
+// standard machine, while Figure 9's default-latency point is the
+// standard machine itself.
+func TestRunKeySeparatesLatencyVariants(t *testing.T) {
+	s := tinySuite(t, tinyOptions(), "tiny")
 	p := s.Prepared[0]
-	cfg := cpu.BaselineConfig()
-	r1, err := s.Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := s.Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Error("identical runs not memoized")
-	}
-	// A different latency must not collide in the cache.
-	cfg2 := cfg
-	cfg2.Hierarchy = cfg2.Hierarchy.WithLatencies(20, 200)
-	r3, err := s.Run(p, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3 == r1 || r3.Cycles == r1.Cycles {
-		t.Error("latency variant collided with the default in the cache")
+	for i, cfg := range fig6Configs() {
+		std := s.runKey(p, cfg)
+		for _, lat := range Fig9Latencies {
+			v := fig9PointConfigs(lat)[i]
+			isStd := lat == [2]int{cfg.Hierarchy.L2.HitLatency, cfg.Hierarchy.MemLatency}
+			if shared := s.runKey(p, v) == std; shared != isStd {
+				t.Errorf("%s at mem %d: run key shared with the standard machine = %v, want %v", cfg.Name, lat[1], shared, isStd)
+			}
+			if sameName := v.Name == cfg.Name; sameName != isStd {
+				t.Errorf("%s at mem %d: variant named %q", cfg.Name, lat[1], v.Name)
+			}
+		}
+		// Even under the machine's own name, other latencies key apart.
+		renamed := cfg
+		renamed.Hierarchy = renamed.Hierarchy.WithLatencies(20, 200)
+		if s.runKey(p, renamed) == std {
+			t.Errorf("%s: latency variant collided with the default run key", cfg.Name)
+		}
 	}
 }
 
 func TestFigure6AndDerivedTables(t *testing.T) {
-	s := suite(t)
-	rows, err := s.Figure6()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := Figure6(viewsReport(t))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -124,10 +133,7 @@ func TestFigure6AndDerivedTables(t *testing.T) {
 		}
 	}
 
-	t3, err := s.Table3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	t3 := Table3(rows)
 	if len(t3) != 2 {
 		t.Fatal("table 3 rows wrong")
 	}
@@ -143,10 +149,7 @@ func TestFigure6AndDerivedTables(t *testing.T) {
 		t.Error("table 3 render incomplete")
 	}
 
-	f8, err := s.Figure8()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f8 := Figure8(rows)
 	for _, r := range f8 {
 		if r.Name == "mcf" && r.Reduction128 <= 0 {
 			t.Errorf("mcf miss reduction %v, want positive", r.Reduction128)
@@ -173,11 +176,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFigure9Subset(t *testing.T) {
-	s := suite(t)
-	series, err := s.Figure9()
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := Figure9(viewsReport(t))
 	// Only mcf of the Fig9 kernel list is in this suite.
 	if len(series) != 1 || series[0].Name != "mcf" {
 		t.Fatalf("series = %+v", series)
@@ -212,11 +211,7 @@ func TestFigure9Subset(t *testing.T) {
 }
 
 func TestMotivation(t *testing.T) {
-	s := suite(t)
-	rows, err := s.Motivation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := Motivation(viewsReport(t))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -233,11 +228,7 @@ func TestMotivation(t *testing.T) {
 }
 
 func TestHybrid(t *testing.T) {
-	s := suite(t)
-	rows, err := s.Hybrid()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := Hybrid(viewsReport(t))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -16,64 +16,80 @@ import (
 // matrix's constant strides) but do little for the irregular gathers
 // (pointer, mcf, vpr), which is exactly where pre-execution earns its keep.
 
-// MotivationRow is one benchmark's three-way comparison.
+// MotivationRow is one benchmark's three-way comparison. A non-nil Err
+// marks a kernel whose runs failed or were skipped.
 type MotivationRow struct {
 	Name       string
 	Base       float64 // IPC
 	Stride     float64 // baseline + stride prefetcher, normalized to Base
 	Spear      float64 // SPEAR-128, normalized to Base
 	Prefetches uint64  // stride prefetches issued
+	Err        error
 }
 
-// Motivation runs the three machines on every prepared kernel.
-func (s *Suite) Motivation() ([]MotivationRow, error) {
-	cfgs := []cpu.Config{cpu.BaselineConfig(), cpu.StrideConfig(2), cpu.SPEARConfig(128, false)}
-	rows := make([]MotivationRow, 0, len(s.Prepared))
-	for _, p := range s.Prepared {
-		res, err := s.RunConfigs(p, cfgs)
+// motivationConfigs returns the three machines the motivation experiment
+// compares: baseline, stride-2, and SPEAR-128.
+func motivationConfigs() []cpu.Config {
+	return []cpu.Config{cpu.BaselineConfig(), cpu.StrideConfig(2), cpu.SPEARConfig(128, false)}
+}
+
+// Motivation reads the three machines of every kernel from the report.
+func Motivation(rep *Report) []MotivationRow {
+	rows := make([]MotivationRow, 0, len(rep.Kernels))
+	for _, name := range rep.Kernels {
+		res, err := rep.results(name, configNames(motivationConfigs())...)
 		if err != nil {
-			return nil, err
+			rows = append(rows, MotivationRow{Name: name, Err: err})
+			continue
 		}
-		base := res["baseline"].IPC
+		base := res[0].IPC
 		rows = append(rows, MotivationRow{
-			Name:       p.Kernel.Name,
+			Name:       name,
 			Base:       base,
-			Stride:     res["stride-2"].IPC / base,
-			Spear:      res["SPEAR-128"].IPC / base,
-			Prefetches: res["stride-2"].StridePrefetches,
+			Stride:     res[1].IPC / base,
+			Spear:      res[2].IPC / base,
+			Prefetches: res[1].StridePrefetches,
 		})
 	}
-	return rows, nil
+	return rows
 }
 
 // HybridRow compares software-triggered pre-execution (the static
-// approach's overhead model) against SPEAR's hardware triggering.
+// approach's overhead model) against SPEAR's hardware triggering. A
+// non-nil Err marks a kernel whose runs failed or were skipped.
 type HybridRow struct {
 	Name      string
 	Base      float64
 	SWTrigger float64 // normalized to Base
 	Spear     float64 // normalized to Base
+	Err       error
 }
 
-// Hybrid runs baseline, SW-trigger-128, and SPEAR-128: the paper's central
-// claim is that hardware triggering removes the software spawn overhead.
-func (s *Suite) Hybrid() ([]HybridRow, error) {
-	cfgs := []cpu.Config{cpu.BaselineConfig(), cpu.SoftwareTriggerConfig(128), cpu.SPEARConfig(128, false)}
-	rows := make([]HybridRow, 0, len(s.Prepared))
-	for _, p := range s.Prepared {
-		res, err := s.RunConfigs(p, cfgs)
+// hybridConfigs returns baseline, SW-trigger-128, and SPEAR-128: the
+// paper's central claim is that hardware triggering removes the software
+// spawn overhead.
+func hybridConfigs() []cpu.Config {
+	return []cpu.Config{cpu.BaselineConfig(), cpu.SoftwareTriggerConfig(128), cpu.SPEARConfig(128, false)}
+}
+
+// Hybrid reads the hybridConfigs machines of every kernel from the report.
+func Hybrid(rep *Report) []HybridRow {
+	rows := make([]HybridRow, 0, len(rep.Kernels))
+	for _, name := range rep.Kernels {
+		res, err := rep.results(name, configNames(hybridConfigs())...)
 		if err != nil {
-			return nil, err
+			rows = append(rows, HybridRow{Name: name, Err: err})
+			continue
 		}
-		base := res["baseline"].IPC
+		base := res[0].IPC
 		rows = append(rows, HybridRow{
-			Name:      p.Kernel.Name,
+			Name:      name,
 			Base:      base,
-			SWTrigger: res["SW-trigger-128"].IPC / base,
-			Spear:     res["SPEAR-128"].IPC / base,
+			SWTrigger: res[1].IPC / base,
+			Spear:     res[2].IPC / base,
 		})
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderHybrid formats the triggering comparison.
@@ -81,6 +97,10 @@ func RenderHybrid(rows []HybridRow) string {
 	t := stats.NewTable("benchmark", "base IPC", "SW-trigger", "SPEAR-128")
 	var sw, sp []float64
 	for _, r := range rows {
+		if r.Err != nil {
+			t.AddSpanRow(r.Name, "ERROR: "+r.Err.Error())
+			continue
+		}
 		t.AddRow(r.Name, r.Base, r.SWTrigger, r.Spear)
 		sw = append(sw, r.SWTrigger)
 		sp = append(sp, r.Spear)
@@ -95,6 +115,10 @@ func RenderMotivation(rows []MotivationRow) string {
 	t := stats.NewTable("benchmark", "base IPC", "stride-2", "SPEAR-128", "stride prefetches")
 	var sd, sp []float64
 	for _, r := range rows {
+		if r.Err != nil {
+			t.AddSpanRow(r.Name, "ERROR: "+r.Err.Error())
+			continue
+		}
 		t.AddRow(r.Name, r.Base, r.Stride, r.Spear, r.Prefetches)
 		sd = append(sd, r.Stride)
 		sp = append(sp, r.Spear)

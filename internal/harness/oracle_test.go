@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"spear/internal/emu"
@@ -19,16 +20,21 @@ import (
 // In -short mode (and under the race detector, which slows the cycle
 // core by an order of magnitude) the grid is restricted to one annotated
 // and one unannotated kernel; the full fifteen-kernel grid runs in the
-// default mode that tier-1 CI uses.
+// default mode that tier-1 CI uses, and the oracle reads the shared
+// sweep of every view's pairs instead of sweeping them again.
 func TestDifferentialOracleSuiteWide(t *testing.T) {
+	cfgs := StandardConfigs()
 	var s *Suite
+	var rep *Report
 	if testing.Short() || raceEnabled {
-		s = suite(t) // the shared two-kernel suite (one annotated, one not)
+		// The shared two-kernel suite (one annotated, one not).
+		s, rep = suite(t), viewsReport(t)
 	} else {
 		var err error
-		if s, err = NewSuite(DefaultOptions()); err != nil {
+		if s, err = NewSuiteContext(context.Background(), DefaultOptions()); err != nil {
 			t.Fatal(err)
 		}
+		rep = s.SweepReportContext(context.Background(), "differential-oracle", cfgs, nil)
 	}
 	for name, perr := range s.Failed {
 		t.Errorf("kernel %s failed to prepare: %v", name, perr)
@@ -46,8 +52,6 @@ func TestDifferentialOracleSuiteWide(t *testing.T) {
 		refs[p.Kernel.Name] = ref{hash: m.StateHash(), count: m.Count}
 	}
 
-	cfgs := StandardConfigs()
-	rep := s.SweepReport("differential-oracle", cfgs)
 	if rep.Interrupted {
 		t.Fatal("oracle sweep reported interrupted")
 	}

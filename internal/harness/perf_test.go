@@ -12,11 +12,10 @@ import (
 // TestSweepWithPerfObservability runs a journaled sweep with the perf
 // registry attached end to end and checks the whole surface: Result
 // rows carry Timing, harness spans and journal I/O counters accumulate,
-// and the slowest-run scan names a real pair.
+// and the report's slowest-row scan names a real pair.
 func TestSweepWithPerfObservability(t *testing.T) {
 	base := suite(t)
 	s := &Suite{Opts: base.Opts, Prepared: base.Prepared, Failed: map[string]error{}}
-	s.cache = map[string]runOutcome{}
 	reg := perf.NewRegistry()
 	s.Opts.Perf = reg
 
@@ -67,9 +66,19 @@ func TestSweepWithPerfObservability(t *testing.T) {
 		t.Errorf("journal I/O counters empty: %+v", counters)
 	}
 
-	kernel, config, dur, ok := s.SlowestRun()
-	if !ok || kernel == "" || config == "" || dur <= 0 {
-		t.Errorf("SlowestRun = %q %q %v %v", kernel, config, dur, ok)
+	slowest := rep.SlowestRow()
+	if slowest == nil || slowest.Kernel == "" || slowest.Config == "" || slowest.Result.Timing.WallNanos == 0 {
+		t.Fatalf("SlowestRow = %+v", slowest)
+	}
+	for _, row := range rep.Rows {
+		if row.Result.Timing.WallNanos > slowest.Result.Timing.WallNanos {
+			t.Errorf("SlowestRow picked %s on %s, but %s on %s ran longer", slowest.Kernel, slowest.Config, row.Kernel, row.Config)
+		}
+	}
+	// Rows without Timing (perf-off sweeps) are never picked.
+	plain := &Report{Rows: []ReportRow{{Kernel: "k", Config: "c", Result: &cpu.Result{}}}}
+	if row := plain.SlowestRow(); row != nil {
+		t.Errorf("SlowestRow of a perf-off report = %+v, want nil", row)
 	}
 
 	// The journal now carries timestamps: replaying it yields duration

@@ -61,14 +61,6 @@ type ReportRow struct {
 	Result   *cpu.Result `json:"result,omitempty"`
 }
 
-// SweepReport simulates every prepared kernel under every configuration
-// (memoized with the figure experiments) and assembles the report.
-// Per-pair failures and preparation failures become error rows; the sweep
-// itself never aborts.
-func (s *Suite) SweepReport(experiment string, cfgs []cpu.Config) *Report {
-	return s.SweepReportContext(s.suiteCtx(), experiment, cfgs, nil)
-}
-
 // schemaTag returns the lowest schema version that can represent the
 // report: v1 unless a reliability field is in use.
 func (r *Report) schemaTag() string {
@@ -170,45 +162,45 @@ func (r *Report) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// Fig6FromReport reconstructs the Figure 6 rows from a sweep report that
-// covers the baseline, SPEAR-128, and SPEAR-256 machines. Because float64
-// values survive the JSON round trip exactly, RenderFigure6 on the
-// returned rows reproduces the live harness table digit for digit.
-func Fig6FromReport(rep *Report) ([]Fig6Row, error) {
-	if len(rep.Kernels) == 0 {
-		return nil, fmt.Errorf("harness: report has no kernels")
-	}
-	rows := make([]Fig6Row, 0, len(rep.Kernels))
-	for _, name := range rep.Kernels {
-		row := Fig6Row{Name: name}
-		get := func(config string) *cpu.Result {
-			r := rep.Lookup(name, config)
-			switch {
-			case r == nil || (r.Result == nil && r.Error == "" && r.Skipped == ""):
-				if row.Err == nil {
-					row.Err = fmt.Errorf("harness: %s: missing configuration results", name)
-				}
-			case r.Error != "":
-				if row.Err == nil {
-					row.Err = errors.New(r.Error)
-				}
-			case r.Skipped != "":
-				if row.Err == nil {
-					row.Err = fmt.Errorf("harness: %s on %s: skipped: %s", name, config, r.Skipped)
-				}
-			default:
-				return r.Result
-			}
-			return nil
+// ErrSkipped marks a view entry whose run the report skipped — most often
+// because the sweep was interrupted before it completed — as opposed to
+// a run that failed.
+var ErrSkipped = errors.New("skipped")
+
+// results returns the kernel's results on the named configs, in order,
+// or the first error that stands in their place: the row's run (or
+// preparation) error, a skip wrapping ErrSkipped, or a missing row.
+func (r *Report) results(kernel string, configs ...string) ([]*cpu.Result, error) {
+	out := make([]*cpu.Result, len(configs))
+	for i, config := range configs {
+		row := r.Lookup(kernel, config)
+		switch {
+		case row == nil || (row.Result == nil && row.Error == "" && row.Skipped == ""):
+			return nil, fmt.Errorf("harness: %s: missing configuration results", kernel)
+		case row.Error != "":
+			return nil, errors.New(row.Error)
+		case row.Skipped != "":
+			return nil, fmt.Errorf("harness: %s on %s: %w: %s", kernel, config, ErrSkipped, row.Skipped)
 		}
-		row.Base = get("baseline")
-		row.Spear128 = get("SPEAR-128")
-		row.Spear256 = get("SPEAR-256")
-		if row.Err == nil && row.Base.IPC > 0 {
-			row.Norm128 = row.Spear128.IPC / row.Base.IPC
-			row.Norm256 = row.Spear256.IPC / row.Base.IPC
-		}
-		rows = append(rows, row)
+		out[i] = row.Result
 	}
-	return rows, nil
+	return out, nil
+}
+
+// SlowestRow returns the completed row whose run took the longest host
+// wall time, or nil when no row carries Timing (only sweeps with perf
+// observability on record it). spearbench -autoprofile uses it to pick
+// the run worth re-executing under the CPU profiler.
+func (r *Report) SlowestRow() *ReportRow {
+	var slowest *ReportRow
+	for i := range r.Rows {
+		row := &r.Rows[i]
+		if row.Result == nil || row.Result.Timing == nil {
+			continue
+		}
+		if slowest == nil || row.Result.Timing.WallNanos > slowest.Result.Timing.WallNanos {
+			slowest = row
+		}
+	}
+	return slowest
 }

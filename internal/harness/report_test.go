@@ -147,15 +147,18 @@ func TestReportLookup(t *testing.T) {
 	}
 }
 
-// TestSweepReportReproducesFigure6 is the acceptance criterion: the table
-// rebuilt from the serialized report must match the live harness table
+// TestSweepReportReproducesFigure6 is the acceptance criterion, widened
+// to every view: each figure and table rendered from the report read back
+// from its JSON must match the one rendered from the in-memory report
 // byte for byte.
 func TestSweepReportReproducesFigure6(t *testing.T) {
-	s := suite(t)
-	cfgs := []cpu.Config{cpu.BaselineConfig(), cpu.SPEARConfig(128, false), cpu.SPEARConfig(256, false)}
-	rep := s.SweepReport("figure6", cfgs)
-	if len(rep.Rows) != len(s.Prepared)*len(cfgs) {
-		t.Fatalf("report has %d rows", len(rep.Rows))
+	rep := viewsReport(t)
+	pairs := map[string]bool{}
+	for _, row := range rep.Rows {
+		if pairs[row.Kernel+"/"+row.Config] {
+			t.Errorf("%s on %s swept twice", row.Kernel, row.Config)
+		}
+		pairs[row.Kernel+"/"+row.Config] = true
 	}
 
 	var buf bytes.Buffer
@@ -166,16 +169,16 @@ func TestSweepReportReproducesFigure6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromReport, err := Fig6FromReport(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := s.Figure6()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := RenderFigure6(fromReport), RenderFigure6(live); got != want {
-		t.Errorf("report-derived table differs from live table:\ngot:\n%s\nwant:\n%s", got, want)
+	for _, v := range Views() {
+		t.Run(v.Name, func(t *testing.T) {
+			got, want := v.Render(back), v.Render(rep)
+			if got != want {
+				t.Errorf("report-derived view differs from the in-memory one:\ngot:\n%s\nwant:\n%s", got, want)
+			}
+			if strings.Contains(want, "ERROR") {
+				t.Errorf("clean sweep renders an error:\n%s", want)
+			}
+		})
 	}
 
 	var csvBuf bytes.Buffer

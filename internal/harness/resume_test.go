@@ -217,18 +217,25 @@ func TestSchemaNegotiation(t *testing.T) {
 	}
 }
 
-// TestSweepInterruptedRunNotMemoized asserts a cancelled run is never
-// served from the suite cache: after cancellation the same pair must
-// re-execute and succeed.
+// TestSweepInterruptedRunNotMemoized asserts a cancelled run leaves no
+// outcome behind: the next sweep of the same pair executes it and
+// succeeds.
 func TestSweepInterruptedRunNotMemoized(t *testing.T) {
-	s := tinySuite(t, tinyOptions(), "tiny")
+	opts := tinyOptions()
+	runs := 0
+	opts.FaultHook = func(kernel, config string) error { runs++; return nil }
+	s := tinySuite(t, opts, "tiny")
+	cfgs := []cpu.Config{cpu.BaselineConfig()}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.RunContext(ctx, s.Prepared[0], cpu.BaselineConfig()); !interrupted(err) {
-		t.Fatalf("cancelled run: err = %v, want cooperative interruption", err)
+	if rep := s.SweepReportContext(ctx, "sweep", cfgs, nil); !rep.Interrupted || rep.Rows[0].Skipped != SkipInterrupted {
+		t.Fatalf("cancelled sweep: interrupted %v, row %+v; want a skipped row", rep.Interrupted, rep.Rows[0])
 	}
-	res, err := s.RunContext(context.Background(), s.Prepared[0], cpu.BaselineConfig())
-	if err != nil || res == nil {
-		t.Fatalf("re-run after cancellation failed: %v", err)
+	rep := s.SweepReportContext(context.Background(), "sweep", cfgs, nil)
+	if rep.Interrupted || rep.Rows[0].Result == nil {
+		t.Fatalf("re-sweep after cancellation: interrupted %v, row %+v", rep.Interrupted, rep.Rows[0])
+	}
+	if runs != 1 {
+		t.Errorf("FaultHook ran %d times, want 1 (the live re-sweep)", runs)
 	}
 }

@@ -17,12 +17,11 @@ import (
 	"spear/internal/journal"
 )
 
-// TestRunOnceContract pins the run-once contract: a (kernel, config)
-// pair is simulated at most once per suite however often it is asked
-// for, any run failure is an ordinary error row backed by a failed
-// journal record of a single attempt, and only the caller's own
-// cancellation leaves a run without a terminal record (so resume
-// re-executes it).
+// TestRunOnceContract pins the run-once contract: a sweep simulates each
+// (kernel, config) pair once, any run failure is an ordinary error row
+// backed by a failed journal record of a single attempt, and only the
+// caller's own cancellation leaves a run without a terminal record (so
+// resume re-executes it).
 func TestRunOnceContract(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -55,19 +54,6 @@ func TestRunOnceContract(t *testing.T) {
 				cancel()
 			}
 
-			const calls = 16
-			for i := 0; i < calls; i++ {
-				_, err := s.RunContext(ctx, p, cpu.BaselineConfig())
-				switch {
-				case tc.cancel && !interrupted(err):
-					t.Errorf("call %d: err = %v, want cooperative interruption", i, err)
-				case !tc.cancel && (err == nil || !strings.Contains(err.Error(), tc.want)):
-					t.Errorf("call %d: err = %v, want one containing %q", i, err, tc.want)
-				case !tc.cancel && interrupted(err):
-					t.Errorf("call %d: run failure %v reads as a cooperative interruption", i, err)
-				}
-			}
-
 			dir := t.TempDir()
 			sj, err := OpenSweepJournal(dir, false)
 			if err != nil {
@@ -95,50 +81,119 @@ func TestRunOnceContract(t *testing.T) {
 			for _, cfg := range twoConfigs() {
 				row := rep.Lookup("tiny", cfg.Name)
 				rec, journaled := st.Terminal[s.runKey(p, cfg)]
+				wantRuns := 1
 				if tc.cancel {
+					wantRuns = 0
 					if row == nil || row.Skipped != SkipInterrupted {
 						t.Errorf("%s: row %+v, want skipped as interrupted", cfg.Name, row)
 					}
 					if journaled {
 						t.Errorf("%s: interrupted run has terminal record %+v", cfg.Name, rec)
 					}
-					continue
+				} else {
+					if row == nil || row.Result != nil || row.Skipped != "" || row.Attempts != 0 || !strings.Contains(row.Error, tc.want) {
+						t.Errorf("%s: row %+v, want a plain error row containing %q", cfg.Name, row, tc.want)
+					}
+					if !journaled || rec.Status != journal.StatusFailed || rec.Attempts != 1 {
+						t.Errorf("%s: terminal record %+v (present %v), want failed with attempts 1", cfg.Name, rec, journaled)
+					}
 				}
-				if row == nil || row.Result != nil || row.Skipped != "" || row.Attempts != 0 || !strings.Contains(row.Error, tc.want) {
-					t.Errorf("%s: row %+v, want a plain error row containing %q", cfg.Name, row, tc.want)
-				}
-				if !journaled || rec.Status != journal.StatusFailed || rec.Attempts != 1 {
-					t.Errorf("%s: terminal record %+v (present %v), want failed with attempts 1", cfg.Name, rec, journaled)
-				}
-				if n := runs["tiny/"+cfg.Name]; n != 1 {
-					t.Errorf("%s: executed %d times, want exactly once", cfg.Name, n)
+				if n := runs["tiny/"+cfg.Name]; n != wantRuns {
+					t.Errorf("%s: executed %d times, want %d", cfg.Name, n, wantRuns)
 				}
 			}
 		})
 	}
 
-	// A cancelled run is not memoized: a later call with a live context
-	// executes it again, and from then on the memo serves it.
+	// A cancelled sweep journals no outcome: resuming it executes the
+	// pair once, and from then on the journal serves it.
 	t.Run("cancelled-then-live", func(t *testing.T) {
 		opts := tinyOptions()
 		hooks := 0
 		opts.FaultHook = func(kernel, config string) error { hooks++; return nil }
 		s := tinySuite(t, opts, "tiny")
-		p, cfg := s.Prepared[0], cpu.BaselineConfig()
+		cfgs := []cpu.Config{cpu.BaselineConfig()}
+		dir := t.TempDir()
+		sweep := func(ctx context.Context, resume bool) *Report {
+			t.Helper()
+			sj, err := OpenSweepJournal(dir, resume)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sj.Close()
+			return s.SweepReportContext(ctx, "sweep", cfgs, sj)
+		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := s.RunContext(ctx, p, cfg); !interrupted(err) {
-			t.Fatalf("cancelled call: err = %v, want cooperative interruption", err)
+		if rep := sweep(ctx, false); rep.Rows[0].Skipped != SkipInterrupted {
+			t.Fatalf("cancelled sweep: row %+v, want skipped as interrupted", rep.Rows[0])
 		}
 		for i := 0; i < 3; i++ {
-			if res, err := s.RunContext(context.Background(), p, cfg); err != nil || res == nil {
-				t.Fatalf("live call %d: res %v, err %v", i, res, err)
+			if rep := sweep(context.Background(), true); rep.Rows[0].Result == nil {
+				t.Fatalf("resumed sweep %d: row %+v", i, rep.Rows[0])
 			}
 		}
-		if hooks != 2 {
-			t.Errorf("FaultHook ran %d times, want 2 (the cancelled run, then one live re-execution)", hooks)
+		if hooks != 1 {
+			t.Errorf("FaultHook ran %d times, want 1 (the first resume; later ones replay)", hooks)
 		}
 	})
+}
+
+// TestViewsOfInterruptedSweepMarkSkips pins that the figures read from a
+// cancelled sweep mark the pairs it never finished as skipped by the
+// interruption, not as failed runs, while finished kernels keep their
+// rows.
+func TestViewsOfInterruptedSweepMarkSkips(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := tinyOptions()
+	opts.FaultHook = func(kernel, config string) error {
+		if kernel == "pointer" {
+			cancel() // mcf's pairs have all run: the pool is serial, kernel-major
+		}
+		return nil
+	}
+	// Named after Figure 9 kernels so that every view reads both.
+	rep := tinySuite(t, opts, "mcf", "pointer").SweepViews(ctx, "views", Views())
+	if !rep.Interrupted {
+		t.Fatal("cancelled sweep not marked interrupted")
+	}
+	check := func(view, kernel string, err error) {
+		t.Helper()
+		switch {
+		case kernel == "mcf" && err != nil:
+			t.Errorf("%s: finished kernel mcf reports %v", view, err)
+		case kernel == "pointer" && (!errors.Is(err, ErrSkipped) || !strings.Contains(err.Error(), SkipInterrupted)):
+			t.Errorf("%s: pointer reports %v, want an interrupted skip", view, err)
+		}
+	}
+	fig6 := Figure6(rep)
+	for _, r := range fig6 {
+		check("fig6", r.Name, r.Err)
+	}
+	for _, r := range Table3(fig6) {
+		check("table3", r.Name, r.Err)
+	}
+	for _, r := range Figure7(rep) {
+		check("fig7", r.Name, r.Err)
+	}
+	for _, r := range Figure8(fig6) {
+		check("fig8", r.Name, r.Err)
+	}
+	for _, r := range Figure9(rep) {
+		check("fig9", r.Name, r.Err)
+	}
+	for _, r := range Motivation(rep) {
+		check("motivation", r.Name, r.Err)
+	}
+	for _, r := range Hybrid(rep) {
+		check("hybrid", r.Name, r.Err)
+	}
+	for _, v := range Views() {
+		if text := v.Render(rep); !strings.Contains(text, SkipInterrupted) {
+			t.Errorf("%s render does not show the interruption:\n%s", v.Name, text)
+		}
+	}
 }
 
 // TestResumeReplaysRetiredRecordKinds resumes a journal holding records
@@ -187,10 +242,10 @@ func TestResumeReplaysRetiredRecordKinds(t *testing.T) {
 	if rep.Schema != ReportSchemaV2 || rep.Interrupted {
 		t.Errorf("schema %q interrupted %v, want %q and not interrupted", rep.Schema, rep.Interrupted, ReportSchemaV2)
 	}
-	// The replayed skip is memoized as a plain error for experiments
-	// sharing the pair.
-	if _, err := s.RunContext(context.Background(), p, spear); err == nil || !strings.Contains(err.Error(), reason) {
-		t.Errorf("memoized skip: err = %v, want one carrying %q", err, reason)
+	// A view reading the replayed skip reports it as skipped, with its
+	// reason.
+	if _, err := rep.results("tiny", spear.Name); !errors.Is(err, ErrSkipped) || !strings.Contains(err.Error(), reason) {
+		t.Errorf("view of the replayed skip: err = %v, want ErrSkipped carrying %q", err, reason)
 	}
 
 	first := reportBytes(t, rep)

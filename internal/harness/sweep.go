@@ -3,9 +3,9 @@ package harness
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -171,10 +171,12 @@ func (j *SweepJournal) Quarantined() int {
 	return j.state.Quarantined + j.repair.Quarantined
 }
 
-// SweepReportContext is SweepReport with cancellation and an optional
-// write-ahead journal (nil runs un-journaled). Each pair runs once; a
-// failure becomes an error row, and cancellation marks the report
-// interrupted instead of discarding completed work.
+// SweepReportContext simulates every prepared kernel under every
+// configuration, journaling through j when non-nil (nil runs
+// un-journaled), and assembles the report. Each pair runs once; a
+// failure becomes an error row, a kernel that failed preparation one
+// error row, and cancellation marks the report interrupted instead of
+// discarding completed work.
 //
 // The (kernel, config) pairs execute on a bounded worker pool of
 // Options.Parallel goroutines (min 1). Rows are assembled by index into
@@ -188,10 +190,33 @@ func (j *SweepJournal) Quarantined() int {
 // only after all workers have returned, so nothing is still running when
 // the report (and the journal) is finalized.
 func (s *Suite) SweepReportContext(ctx context.Context, experiment string, cfgs []cpu.Config, j *SweepJournal) *Report {
+	return s.sweep(ctx, experiment, []View{{Configs: cfgs}}, j)
+}
+
+// SweepViews runs, in one un-journaled pooled sweep, every (kernel,
+// config) pair the views read, each pair once however many views share
+// it. Rendering each view from the returned report regenerates its
+// figure or table.
+func (s *Suite) SweepViews(ctx context.Context, experiment string, views []View) *Report {
+	return s.sweep(ctx, experiment, views, nil)
+}
+
+// sweep is the one grid executor: the report's machines are the union of
+// the views' configs in first-seen order (a name identifies a machine),
+// and its rows are the pairs some view reads, kernel-major.
+func (s *Suite) sweep(ctx context.Context, experiment string, views []View, j *SweepJournal) *Report {
 	defer s.Opts.Perf.Span("harness.sweep").Start().End()
 	rep := &Report{Experiment: experiment}
-	for _, cfg := range cfgs {
-		rep.Machines = append(rep.Machines, cfg.Name)
+	var cfgs []cpu.Config
+	seen := map[string]bool{}
+	for _, v := range views {
+		for _, cfg := range v.Configs {
+			if !seen[cfg.Name] {
+				seen[cfg.Name] = true
+				cfgs = append(cfgs, cfg)
+				rep.Machines = append(rep.Machines, cfg.Name)
+			}
+		}
 	}
 	type task struct {
 		p   *Prepared
@@ -202,7 +227,9 @@ func (s *Suite) SweepReportContext(ctx context.Context, experiment string, cfgs 
 	for _, p := range s.Prepared {
 		rep.Kernels = append(rep.Kernels, p.Kernel.Name)
 		for _, cfg := range cfgs {
-			tasks = append(tasks, task{p: p, cfg: cfg, idx: len(tasks)})
+			if readsPair(views, p.Kernel.Name, cfg.Name) {
+				tasks = append(tasks, task{p: p, cfg: cfg, idx: len(tasks)})
+			}
 		}
 	}
 	rows := make([]ReportRow, len(tasks))
@@ -245,6 +272,19 @@ func (s *Suite) SweepReportContext(ctx context.Context, experiment string, cfgs 
 	return rep
 }
 
+// readsPair reports whether some view reads config on kernel.
+func readsPair(views []View, kernel, config string) bool {
+	for _, v := range views {
+		if v.Kernels != nil && !slices.Contains(v.Kernels, kernel) {
+			continue
+		}
+		if slices.ContainsFunc(v.Configs, func(c cpu.Config) bool { return c.Name == config }) {
+			return true
+		}
+	}
+	return false
+}
+
 // sweepOne produces the report row for one (kernel, config) pair: from
 // the replayed journal when resuming, otherwise by running the
 // simulation between a started record and a terminal record.
@@ -254,7 +294,6 @@ func (s *Suite) sweepOne(ctx context.Context, p *Prepared, cfg cpu.Config, j *Sw
 	if j != nil {
 		if rec, ok := j.state.Terminal[key]; ok {
 			if err := replayRecord(rec, &row); err == nil {
-				s.seedCache(key, &row)
 				return row
 			}
 			// An unreplayable record (e.g. result JSON from an older,
@@ -271,17 +310,17 @@ func (s *Suite) sweepOne(ctx context.Context, p *Prepared, cfg cpu.Config, j *Sw
 			s.Opts.logf("journal append failed: %v", err)
 		}
 	}
-	o := s.runOutcomeFor(ctx, p, cfg, key)
-	if interrupted(o.err) {
+	res, err := s.runOnce(ctx, p, cfg, key)
+	if interrupted(err) {
 		// No terminal record: the run stays in flight in the journal and
 		// re-executes on resume.
 		row.Skipped = SkipInterrupted
 		return row
 	}
-	if o.err == nil {
-		row.Result = o.res
+	if err == nil {
+		row.Result = res
 	} else {
-		row.Error = o.err.Error()
+		row.Error = err.Error()
 	}
 	if j != nil {
 		if err := j.w.Append(terminalRecord(key, &row)); err != nil {
@@ -328,22 +367,4 @@ func replayRecord(rec journal.Record, row *ReportRow) error {
 		return fmt.Errorf("harness: non-terminal journal record %q", rec.Status)
 	}
 	return nil
-}
-
-// seedCache installs a journal-replayed outcome into the suite's run
-// memo so figure experiments sharing the pair reuse it instead of
-// re-simulating. A replayed skip becomes a plain error.
-func (s *Suite) seedCache(key string, row *ReportRow) {
-	o := runOutcome{res: row.Result}
-	switch {
-	case row.Error != "":
-		o.err = errors.New(row.Error)
-	case row.Skipped != "":
-		o.err = errors.New(row.Skipped)
-	}
-	s.mu.Lock()
-	if _, ok := s.cache[key]; !ok {
-		s.cache[key] = o
-	}
-	s.mu.Unlock()
 }

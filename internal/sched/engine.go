@@ -71,8 +71,8 @@ func NewSuiteEngine(base harness.Options) *SuiteEngine {
 }
 
 // EngineForSuite wraps an existing suite as an Engine; spearbench uses
-// it (the CLI builds its suite up front and reuses it for the figure
-// experiments and -autoprofile). The request's Kernels/Seed are ignored
+// it (the CLI builds its suite up front and reuses it for -autoprofile).
+// The request's Kernels/Seed are ignored
 // — the suite's own preparation and options are the identity; the
 // caller keeps them consistent.
 func EngineForSuite(s *harness.Suite) Engine {
