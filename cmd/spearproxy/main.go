@@ -6,8 +6,7 @@
 //
 //	spearproxy -backends http://h1:8791,http://h2:8791,http://h3:8791
 //	           [-addr :8790] [-health-interval 1s] [-timeout 15s]
-//	           [-retries 2] [-backoff 50ms] [-backoff-max 2s]
-//	           [-breaker-threshold 3] [-breaker-cooldown 5s] [-v]
+//	           [-retries 2] [-backoff 50ms] [-backoff-max 2s] [-v]
 //
 // Requests are routed by the same SHA-256 content hash speard dedups
 // on, so one request always lands on the same shard; after a shard
@@ -18,6 +17,10 @@
 // failover placed them. /v1/progress merges every shard's view and
 // carries a per-shard health banner; spearstat -addr pointed at the
 // proxy renders the whole cluster.
+//
+// A shard whose /readyz probe or proxied exchange fails is marked down
+// and skipped without a connection attempt until its next good probe,
+// one -health-interval later at most.
 //
 // No backend available is never silent: the submission is answered 503
 // with an aggregated Retry-After and a per-backend reason list.
@@ -55,9 +58,7 @@ func main() {
 	retries := flag.Int("retries", 2, "connection retries per backend before failing over")
 	backoff := flag.Duration("backoff", 50*time.Millisecond, "base retry backoff (exponential, jittered)")
 	backoffMax := flag.Duration("backoff-max", 2*time.Second, "retry backoff cap")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive transport failures that open a backend's circuit")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long an open circuit skips its backend before probing")
-	verbose := flag.Bool("v", false, "log failovers, breaker transitions, and health changes to stderr")
+	verbose := flag.Bool("v", false, "log failovers and health changes to stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "Usage: spearproxy -backends url,url,... [flags]\n\nFlags:\n")
 		flag.PrintDefaults()
@@ -70,13 +71,11 @@ Exit codes:
 	}
 	flag.Parse()
 	os.Exit(run(*addr, *backends, router.Config{
-		HealthInterval:   *healthInterval,
-		AttemptTimeout:   *timeout,
-		Retries:          *retries,
-		BackoffBase:      *backoff,
-		BackoffMax:       *backoffMax,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
+		HealthInterval: *healthInterval,
+		AttemptTimeout: *timeout,
+		Retries:        *retries,
+		BackoffBase:    *backoff,
+		BackoffMax:     *backoffMax,
 	}, *verbose))
 }
 

@@ -25,7 +25,7 @@ func TestAddrLineClusterBanner(t *testing.T) {
 			"shards": [
 				{"addr": "http://h1:8791", "state": "ready"},
 				{"addr": "http://h2:8791", "state": "draining"},
-				{"addr": "http://h3:8791", "state": "down", "breaker_open": true, "error": "connection refused"}
+				{"addr": "http://h3:8791", "state": "down", "error": "connection refused"}
 			]
 		}`))
 	}))
@@ -38,7 +38,7 @@ func TestAddrLineClusterBanner(t *testing.T) {
 	for _, want := range []string{
 		"cluster: 1/3 shards ready",
 		"http://h2:8791: draining",
-		"http://h3:8791: down (breaker open) (connection refused)",
+		"http://h3:8791: down (connection refused)",
 		"2 running",
 		"20 done",
 	} {

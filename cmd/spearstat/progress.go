@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"spear/internal/journal"
-	"spear/internal/router"
+	"spear/internal/sched"
 )
 
 // Journal progress mode: `spearstat -journal <dir>` inspects a sweep's
@@ -95,18 +95,15 @@ func progressLine(dir string) (string, error) {
 // renderShardBanner folds the per-shard health list into the cluster
 // banner segment: a ready count, then one annotation per shard that is
 // not plainly ready ("addr: down (connection refused)").
-func renderShardBanner(shards []router.ShardHealth) string {
+func renderShardBanner(shards []sched.ShardHealth) string {
 	ready := 0
 	var trouble []string
 	for _, s := range shards {
-		if s.State == router.BackendReady && !s.BreakerOpen {
+		if s.State == sched.ShardReady {
 			ready++
 			continue
 		}
 		note := s.Addr + ": " + string(s.State)
-		if s.BreakerOpen {
-			note += " (breaker open)"
-		}
 		if s.Error != "" {
 			note += " (" + s.Error + ")"
 		}
@@ -135,11 +132,9 @@ func addrLine(addr string) (string, error) {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return "", fmt.Errorf("%s/v1/progress: %s: %s", base, resp.Status, strings.TrimSpace(string(body)))
 	}
-	// A single speard answers with sched.Progress; a spearproxy with
-	// router.ClusterProgress, which embeds it and adds the per-shard
-	// health list. One decoder serves both: Shards is simply empty for a
-	// single server.
-	var sp router.ClusterProgress
+	// A single speard and a spearproxy both answer with sched.Progress;
+	// only the proxy fills in the per-shard health list.
+	var sp sched.Progress
 	if err := json.NewDecoder(resp.Body).Decode(&sp); err != nil {
 		return "", fmt.Errorf("%s/v1/progress: %w", base, err)
 	}

@@ -5,6 +5,9 @@ import (
 	"context"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"spear/internal/journal"
 )
 
 // Determinism battery for the parallel sweep engine: a sweep run on a
@@ -98,6 +101,15 @@ func TestParallelKillAndResumeByteIdentical(t *testing.T) {
 	var runs atomic.Int64
 	opts.FaultHook = func(kernel, config string) error {
 		if runs.Add(1) == 3 {
+			// Hold the third run and cancel once two runs are journaled
+			// terminal. Cancelling earlier can catch runs 1 and 2 before
+			// their cycle-0 context poll, interrupting every row; the
+			// held run is still interrupted, so the subset stays strict.
+			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if st, err := journal.Load(dir); err == nil && len(st.Terminal) >= 2 {
+					break
+				}
+			}
 			cancel()
 		}
 		return nil

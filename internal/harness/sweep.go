@@ -12,7 +12,6 @@ import (
 	"spear/internal/cpu"
 	"spear/internal/iofault"
 	"spear/internal/journal"
-	"spear/internal/obs"
 	"spear/internal/perf"
 )
 
@@ -62,10 +61,6 @@ type SweepJournalConfig struct {
 	// FS is the filesystem the journal lives on (nil = the real one).
 	// Torture tests substitute an iofault.Faulty.
 	FS iofault.FS
-	// Obs receives storage-health events (io-retry, io-backoff,
-	// quarantine, io-repair) alongside the pipeline telemetry, so degraded
-	// storage shows up in the same traces as the runs it slowed.
-	Obs *obs.Recorder
 	// Log receives one human-readable line per storage-health event.
 	Log io.Writer
 	// Perf, when non-nil, receives the journal's I/O metrics (commit and
@@ -74,44 +69,18 @@ type SweepJournalConfig struct {
 	Perf *perf.Registry
 }
 
-// events builds the journal.EventFunc bridging storage-health events to
-// the recorder and log. Journal events can fire from the writer
-// goroutine while obs.Recorder is single-threaded, so the bridge owns a
-// mutex and flushes per event (these are rare; latency beats batching).
+// events builds the journal.EventFunc writing one log line per
+// storage-health event. Journal events can fire from the writer
+// goroutine, so the bridge owns a mutex.
 func (c SweepJournalConfig) events() journal.EventFunc {
-	if c.Obs == nil && c.Log == nil {
+	if c.Log == nil {
 		return nil
 	}
 	var mu sync.Mutex
 	return func(e journal.Event) {
 		mu.Lock()
 		defer mu.Unlock()
-		if c.Log != nil {
-			fmt.Fprintf(c.Log, "%s\n", e)
-		}
-		if c.Obs == nil {
-			return
-		}
-		ev := obs.Event{Text: e.Path}
-		if e.Err != nil {
-			ev.Text = e.Path + ": " + e.Err.Error()
-		}
-		switch e.Kind {
-		case journal.EventCommitRetry:
-			ev.Kind, ev.Arg = obs.KindIORetry, uint64(e.Attempt)
-		case journal.EventNospcBackoff:
-			ev.Kind, ev.Arg = obs.KindIOBackoff, uint64(e.Attempt)
-		case journal.EventQuarantine:
-			ev.Kind, ev.Arg = obs.KindQuarantine, uint64(e.Records)
-		case journal.EventRepair, journal.EventCompact:
-			ev.Kind, ev.Arg = obs.KindIORepair, uint64(e.Records)
-		default:
-			return
-		}
-		if c.Obs.Active(0) {
-			c.Obs.Emit(ev)
-			c.Obs.Flush()
-		}
+		fmt.Fprintf(c.Log, "%s\n", e)
 	}
 }
 

@@ -358,8 +358,7 @@ func TestClusterKillRestartResumesOwner(t *testing.T) {
 	// resubmission routes to the owner, not around it.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		st, _ := c.rt.backendState(owner.url())
-		if st == BackendReady {
+		if shardState(c.rt, owner.url()).State == sched.ShardReady {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -598,7 +597,7 @@ func TestClusterProgressAcrossShards(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("progress = %d", code)
 	}
-	var cp ClusterProgress
+	var cp sched.Progress
 	if err := json.Unmarshal(body, &cp); err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +614,7 @@ func TestClusterProgressAcrossShards(t *testing.T) {
 		t.Fatalf("shards = %d, want 3", len(cp.Shards))
 	}
 	for _, s := range cp.Shards {
-		if s.State != BackendReady {
+		if s.State != sched.ShardReady {
 			t.Errorf("shard %s state = %s, want ready", s.Addr, s.State)
 		}
 	}

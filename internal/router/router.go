@@ -15,10 +15,12 @@
 //   - per-attempt timeouts bound how long one shard can hang;
 //   - connection failures retry with exponential backoff + jitter,
 //     then fail over to the next ring successor;
-//   - a per-backend circuit breaker opens after consecutive transport
-//     failures so a dead shard is skipped without burning its timeout;
-//   - active health checks (GET /readyz) keep a live ready/draining/
-//     down view for routing and for the cluster progress banner;
+//   - one health view per shard decides whether routing may use it: an
+//     active GET /readyz poll writes it every health interval, and a
+//     proxied exchange that fails while its client is still waiting
+//     marks the shard down until its next good probe. Down shards are
+//     skipped without a connection attempt, by submissions, job reads
+//     and the progress and job-list fan-outs alike;
 //   - when every candidate is down or draining the submission is shed
 //     loudly: 503 with an aggregated Retry-After covering the soonest
 //     moment any candidate might accept work — never a silent drop.
@@ -62,10 +64,6 @@ type Config struct {
 	// with ±50% jitter so a restarting cluster is not hit in lockstep.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// BreakerThreshold consecutive transport failures open a backend's
-	// circuit for BreakerCooldown (defaults 3 / 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Transport overrides the proxy transport (nil = default).
 	Transport http.RoundTripper
 	// Rand supplies jitter in [0,1) (nil = math/rand; tests inject a
@@ -73,8 +71,7 @@ type Config struct {
 	Rand func() float64
 	// Perf receives router counters (nil = dropped).
 	Perf *perf.Registry
-	// Log receives one line per failover, breaker transition, and
-	// health change.
+	// Log receives one line per failover and health change.
 	Log io.Writer
 }
 
@@ -116,35 +113,6 @@ func (c Config) backoffMax() time.Duration {
 	return c.BackoffMax
 }
 
-// BackendState is one shard's health as the router sees it.
-type BackendState string
-
-const (
-	BackendReady    BackendState = "ready"
-	BackendDraining BackendState = "draining"
-	BackendDown     BackendState = "down"
-	BackendUnknown  BackendState = "unknown" // not probed yet
-)
-
-// ShardHealth is the per-shard entry of the cluster progress view.
-type ShardHealth struct {
-	Addr  string       `json:"addr"`
-	State BackendState `json:"state"`
-	// BreakerOpen reports the circuit breaker tripped on transport
-	// failures — set even when the last health probe succeeded.
-	BreakerOpen bool   `json:"breaker_open,omitempty"`
-	Error       string `json:"error,omitempty"`
-}
-
-// ClusterProgress is the merged /v1/progress of every reachable shard.
-// The embedded sched.Progress keeps the top-level JSON shape identical
-// to a single speard's, so spearstat renders a cluster the same way it
-// renders one server; Shards adds the per-shard health banner.
-type ClusterProgress struct {
-	sched.Progress
-	Shards []ShardHealth `json:"shards"`
-}
-
 // Router is the HTTP handler. Create with New, stop with Close.
 type Router struct {
 	cfg    Config
@@ -154,10 +122,8 @@ type Router struct {
 	randMu sync.Mutex
 	randF  func() float64
 
-	mu       sync.Mutex
-	health   map[string]BackendState
-	healthEr map[string]string
-	breakers map[string]*breaker
+	mu     sync.Mutex
+	health map[string]sched.ShardHealth
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -184,22 +150,19 @@ func New(cfg Config) (*Router, error) {
 		return nil, ErrNoBackends
 	}
 	rt := &Router{
-		cfg:      cfg,
-		ring:     newRing(backends),
-		client:   &http.Client{Transport: cfg.Transport},
-		health:   make(map[string]BackendState, len(backends)),
-		healthEr: make(map[string]string, len(backends)),
-		breakers: make(map[string]*breaker, len(backends)),
-		stop:     make(chan struct{}),
-		randF:    cfg.Rand,
+		cfg:    cfg,
+		ring:   newRing(backends),
+		client: &http.Client{Transport: cfg.Transport},
+		health: make(map[string]sched.ShardHealth, len(backends)),
+		stop:   make(chan struct{}),
+		randF:  cfg.Rand,
 	}
 	if rt.randF == nil {
 		rt.randF = rand.Float64
 	}
 	rt.cfg.Backends = backends
 	for _, b := range backends {
-		rt.health[b] = BackendUnknown
-		rt.breakers[b] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil)
+		rt.health[b] = sched.ShardHealth{Addr: b, State: sched.ShardUnknown}
 	}
 	rt.mux = http.NewServeMux()
 	rt.mux.HandleFunc("POST /v1/sweeps", rt.handleSubmit)
@@ -285,26 +248,30 @@ func (rt *Router) checkOne(addr string) {
 	if err != nil {
 		return
 	}
-	state, detail := BackendDown, ""
+	state, detail := sched.ShardDown, ""
 	if resp, err := rt.client.Do(req); err != nil {
 		detail = err.Error()
 	} else {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			state = BackendReady
-		case resp.StatusCode == http.StatusServiceUnavailable:
-			state = BackendDraining
+		switch resp.StatusCode {
+		case http.StatusOK:
+			state = sched.ShardReady
+		case http.StatusServiceUnavailable:
+			state = sched.ShardDraining
 		default:
-			state = BackendDown
 			detail = fmt.Sprintf("readyz: HTTP %d", resp.StatusCode)
 		}
 	}
+	rt.setHealth(addr, state, detail)
+}
+
+// setHealth records a shard's liveness. Its two writers are the /readyz
+// poll and a proxied exchange that failed on live traffic.
+func (rt *Router) setHealth(addr string, state sched.ShardState, detail string) {
 	rt.mu.Lock()
-	prev := rt.health[addr]
-	rt.health[addr] = state
-	rt.healthEr[addr] = detail
+	prev := rt.health[addr].State
+	rt.health[addr] = sched.ShardHealth{Addr: addr, State: state, Error: detail}
 	rt.mu.Unlock()
 	if prev != state {
 		rt.cfg.Perf.Counter("router.health.transitions").Add(1)
@@ -312,19 +279,27 @@ func (rt *Router) checkOne(addr string) {
 	}
 }
 
-func (rt *Router) backendState(addr string) (BackendState, string) {
+// down is the routing decision every handler makes per shard: a shard
+// marked down is skipped without a connection attempt, and reason names
+// it for the shed body. Unknown, ready and draining shards are tried —
+// a draining shard still serves reads and refuses submissions itself.
+func (rt *Router) down(addr string) (reason string, isDown bool) {
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.health[addr], rt.healthEr[addr]
+	h := rt.health[addr]
+	rt.mu.Unlock()
+	if h.State != sched.ShardDown {
+		return "", false
+	}
+	return fmt.Sprintf("%s: down (%s)", addr, h.Error), true
 }
 
 // Shards returns the per-backend health view, ring-independent order.
-func (rt *Router) Shards() []ShardHealth {
-	out := make([]ShardHealth, 0, len(rt.cfg.Backends))
+func (rt *Router) Shards() []sched.ShardHealth {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	out := make([]sched.ShardHealth, 0, len(rt.cfg.Backends))
 	for _, b := range rt.cfg.Backends {
-		st, detail := rt.backendState(b)
-		open, _ := rt.breakers[b].Open()
-		out = append(out, ShardHealth{Addr: b, State: st, BreakerOpen: open, Error: detail})
+		out = append(out, rt.health[b])
 	}
 	return out
 }
@@ -351,9 +326,10 @@ type attemptResult struct {
 }
 
 // tryBackend performs one proxied exchange with retry+backoff on
-// transport failures. The caller owns resp.Body.
+// transport failures. The caller owns resp.Body. An exchange that still
+// fails after its retries while ctx is live marks the backend down; one
+// abandoned by its own client says nothing about the shard.
 func (rt *Router) tryBackend(ctx context.Context, addr, method, path string, body []byte, stream bool) attemptResult {
-	br := rt.breakers[addr]
 	var lastErr error
 	for attempt := 0; attempt <= rt.cfg.retries(); attempt++ {
 		if attempt > 0 {
@@ -378,37 +354,31 @@ func (rt *Router) tryBackend(ctx context.Context, addr, method, path string, bod
 			req.Header.Set("Content-Type", "application/json")
 		}
 		resp, err := rt.client.Do(req)
-		if err != nil {
-			cancel()
-			lastErr = err
-			if br.Failure() {
-				rt.cfg.Perf.Counter("router.breaker.opened").Add(1)
-				rt.logf("router: breaker open for %s (%v)", addr, err)
-			}
-			if ctx.Err() != nil {
-				return attemptResult{err: ctx.Err()}
-			}
-			continue
-		}
-		br.Success()
-		if !stream {
-			// Detach the response body from the attempt context: read
-			// it fully now so cancel() cannot race the caller's copy.
-			data, rerr := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-			resp.Body.Close()
-			cancel()
-			if rerr != nil {
-				lastErr = rerr
-				continue
-			}
-			resp.Body = io.NopCloser(bytes.NewReader(data))
+		if err == nil && stream {
+			// Streaming: the body stays live; it is bounded by ctx (the
+			// client's own connection), so there is no attempt timeout
+			// to cancel.
+			_ = cancel
 			return attemptResult{resp: resp}
 		}
-		// Streaming: the body stays live; it is bounded by ctx (the
-		// client's own connection).
-		_ = cancel
-		return attemptResult{resp: resp}
+		if err == nil {
+			// Detach the response body from the attempt context: read
+			// it fully now so cancel() cannot race the caller's copy.
+			var data []byte
+			data, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+			resp.Body.Close()
+			resp.Body = io.NopCloser(bytes.NewReader(data))
+		}
+		cancel()
+		if err == nil {
+			return attemptResult{resp: resp}
+		}
+		if ctx.Err() != nil {
+			return attemptResult{err: ctx.Err()}
+		}
+		lastErr = err
 	}
+	rt.setHealth(addr, sched.ShardDown, lastErr.Error())
 	return attemptResult{err: lastErr}
 }
 
@@ -450,17 +420,28 @@ func retryAfterOf(resp *http.Response) time.Duration {
 	return 0
 }
 
+// shed collects why each routing candidate could not serve a request
+// and the soonest moment any of them might: the max over candidates'
+// own estimates.
+type shed struct {
+	reasons    []string
+	retryAfter time.Duration
+}
+
+func (sh *shed) add(reason string, retryAfter time.Duration) {
+	sh.reasons = append(sh.reasons, reason)
+	sh.retryAfter = max(sh.retryAfter, retryAfter)
+}
+
 // shedAll answers a request for which no candidate could serve:
-// aggregated Retry-After (the soonest any candidate might recover,
-// never under 1s), per-backend detail in the body. Loud by design.
-func (rt *Router) shedAll(w http.ResponseWriter, reasons []string, retryAfter time.Duration) {
+// aggregated Retry-After (never under 1s), per-backend detail in the
+// body. Loud by design.
+func (rt *Router) shedAll(w http.ResponseWriter, sh shed) {
 	rt.cfg.Perf.Counter("router.shed").Add(1)
-	if retryAfter < time.Second {
-		retryAfter = time.Second
-	}
+	retryAfter := max(sh.retryAfter, time.Second)
 	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retryAfter.Seconds()))))
 	writeJSON(w, http.StatusServiceUnavailable, errorBody{
-		Error:        "no backend available: " + strings.Join(reasons, "; "),
+		Error:        "no backend available: " + strings.Join(sh.reasons, "; "),
 		RetryAfterMS: retryAfter.Milliseconds(),
 	})
 }
@@ -481,41 +462,32 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	key := req.Key()
 	rt.cfg.Perf.Counter("router.submit").Add(1)
 
-	var reasons []string
-	var retryAfter time.Duration
-	bump := func(d time.Duration) {
-		if d > retryAfter {
-			retryAfter = d
-		}
-	}
+	var sh shed
 	for i, addr := range rt.ring.Successors(key) {
 		if i > 0 {
 			rt.cfg.Perf.Counter("router.failover").Add(1)
 			rt.logf("router: job %s failing over to %s", short(key), addr)
 		}
-		if open, rem := rt.breakers[addr].Open(); open && !rt.breakers[addr].Allow() {
-			reasons = append(reasons, fmt.Sprintf("%s: circuit open", addr))
-			bump(rem)
+		if reason, down := rt.down(addr); down {
+			sh.add(reason, rt.cfg.healthInterval())
 			continue
 		}
 		res := rt.tryBackend(r.Context(), addr, http.MethodPost, "/v1/sweeps", body, false)
 		if res.err != nil {
-			reasons = append(reasons, fmt.Sprintf("%s: %v", addr, res.err))
-			bump(rt.cfg.backoffMax())
+			sh.add(fmt.Sprintf("%s: %v", addr, res.err), rt.cfg.backoffMax())
 			continue
 		}
 		if res.resp.StatusCode == http.StatusServiceUnavailable {
 			// Draining or closed: the successor recomputes the sweep;
 			// per-shard dedup + journals make that safe.
-			reasons = append(reasons, fmt.Sprintf("%s: draining", addr))
-			bump(retryAfterOf(res.resp))
+			sh.add(fmt.Sprintf("%s: draining", addr), retryAfterOf(res.resp))
 			res.resp.Body.Close()
 			continue
 		}
 		relay(w, res.resp)
 		return
 	}
-	rt.shedAll(w, reasons, retryAfter)
+	rt.shedAll(w, sh)
 }
 
 // handleJobGet routes job reads by the job ID (= request key), passing
@@ -526,16 +498,16 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("id")
 	stream := strings.HasSuffix(r.URL.Path, "/events")
-	var reasons []string
+	var sh shed
 	var notFound *http.Response
 	for _, addr := range rt.ring.Successors(key) {
-		if open, _ := rt.breakers[addr].Open(); open && !rt.breakers[addr].Allow() {
-			reasons = append(reasons, fmt.Sprintf("%s: circuit open", addr))
+		if reason, down := rt.down(addr); down {
+			sh.add(reason, rt.cfg.healthInterval())
 			continue
 		}
 		res := rt.tryBackend(r.Context(), addr, http.MethodGet, r.URL.RequestURI(), nil, stream)
 		if res.err != nil {
-			reasons = append(reasons, fmt.Sprintf("%s: %v", addr, res.err))
+			sh.add(fmt.Sprintf("%s: %v", addr, res.err), 0)
 			continue
 		}
 		if res.resp.StatusCode == http.StatusNotFound {
@@ -555,10 +527,11 @@ func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		relay(w, notFound)
 		return
 	}
-	rt.shedAll(w, reasons, 0)
+	rt.shedAll(w, sh)
 }
 
-// handleJobList merges every reachable shard's job list.
+// handleJobList merges every reachable shard's job list. Down shards
+// are skipped.
 func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 	type listResp struct {
 		Jobs []sched.Snapshot `json:"jobs"`
@@ -567,6 +540,9 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 	var all []sched.Snapshot
 	var wg sync.WaitGroup
 	for _, addr := range rt.cfg.Backends {
+		if _, down := rt.down(addr); down {
+			continue
+		}
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
@@ -596,50 +572,54 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": all})
 }
 
-// Progress fans /v1/progress out to every shard and merges the result.
-func (rt *Router) Progress(ctx context.Context) ClusterProgress {
+// Progress fans /v1/progress out to every shard not marked down and
+// merges the result. Shards carries the health banner; a shard that
+// fails to answer carries the reason in its entry.
+func (rt *Router) Progress(ctx context.Context) sched.Progress {
 	var mu sync.Mutex
-	var cp ClusterProgress
+	var p sched.Progress
 	var wg sync.WaitGroup
 	shardErr := make(map[string]string, len(rt.cfg.Backends))
+	fail := func(addr, detail string) {
+		mu.Lock()
+		shardErr[addr] = detail
+		mu.Unlock()
+	}
 	for _, addr := range rt.cfg.Backends {
+		if _, down := rt.down(addr); down {
+			continue
+		}
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
 			res := rt.tryBackend(ctx, addr, http.MethodGet, "/v1/progress", nil, false)
 			if res.err != nil {
-				mu.Lock()
-				shardErr[addr] = res.err.Error()
-				mu.Unlock()
+				fail(addr, res.err.Error())
 				return
 			}
 			defer res.resp.Body.Close()
 			if res.resp.StatusCode != http.StatusOK {
-				mu.Lock()
-				shardErr[addr] = fmt.Sprintf("progress: HTTP %d", res.resp.StatusCode)
-				mu.Unlock()
+				fail(addr, fmt.Sprintf("progress: HTTP %d", res.resp.StatusCode))
 				return
 			}
-			var p sched.Progress
-			if err := json.NewDecoder(res.resp.Body).Decode(&p); err != nil {
-				mu.Lock()
-				shardErr[addr] = "progress: " + err.Error()
-				mu.Unlock()
+			var q sched.Progress
+			if err := json.NewDecoder(res.resp.Body).Decode(&q); err != nil {
+				fail(addr, "progress: "+err.Error())
 				return
 			}
 			mu.Lock()
-			cp.Progress.Merge(p)
+			p.Merge(q)
 			mu.Unlock()
 		}(addr)
 	}
 	wg.Wait()
-	cp.Shards = rt.Shards()
-	for i := range cp.Shards {
-		if e, ok := shardErr[cp.Shards[i].Addr]; ok && cp.Shards[i].Error == "" {
-			cp.Shards[i].Error = e
+	p.Shards = rt.Shards()
+	for i := range p.Shards {
+		if e, ok := shardErr[p.Shards[i].Addr]; ok && p.Shards[i].Error == "" {
+			p.Shards[i].Error = e
 		}
 	}
-	return cp
+	return p
 }
 
 func (rt *Router) handleProgress(w http.ResponseWriter, r *http.Request) {
@@ -650,7 +630,7 @@ func (rt *Router) handleProgress(w http.ResponseWriter, r *http.Request) {
 // cluster can still accept work — and 503 otherwise.
 func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	for _, s := range rt.Shards() {
-		if s.State == BackendReady && !s.BreakerOpen {
+		if s.State == sched.ShardReady {
 			writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 			return
 		}

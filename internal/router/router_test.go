@@ -1,12 +1,16 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -74,53 +78,6 @@ func TestRingEmpty(t *testing.T) {
 	r := newRing(nil)
 	if r.Owner("k") != "" || r.Successors("k") != nil {
 		t.Error("empty ring returned owners")
-	}
-}
-
-// ---- breaker ------------------------------------------------------------
-
-func TestBreakerLifecycle(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := newBreaker(3, 5*time.Second, func() time.Time { return now })
-
-	for i := 0; i < 2; i++ {
-		if b.Failure() {
-			t.Fatalf("breaker opened after %d failures (threshold 3)", i+1)
-		}
-		if !b.Allow() {
-			t.Fatal("closed breaker refused traffic")
-		}
-	}
-	if !b.Failure() {
-		t.Fatal("third failure did not open the breaker")
-	}
-	if b.Allow() {
-		t.Fatal("open breaker admitted traffic inside the cooldown")
-	}
-	if open, rem := b.Open(); !open || rem != 5*time.Second {
-		t.Fatalf("Open = %v, %v", open, rem)
-	}
-
-	// Cooldown elapses: exactly one probe is admitted.
-	now = now.Add(5 * time.Second)
-	if !b.Allow() {
-		t.Fatal("no probe after cooldown")
-	}
-	if b.Allow() {
-		t.Fatal("second concurrent probe admitted")
-	}
-	// Failed probe restarts the cooldown.
-	b.Failure()
-	if b.Allow() {
-		t.Fatal("probe admitted right after a failed probe")
-	}
-	now = now.Add(5 * time.Second)
-	if !b.Allow() {
-		t.Fatal("no probe after second cooldown")
-	}
-	b.Success()
-	if !b.Allow() || !b.Allow() {
-		t.Fatal("closed breaker (after probe success) refused traffic")
 	}
 }
 
@@ -347,8 +304,8 @@ func TestJobGetForwardsQuery(t *testing.T) {
 	}
 }
 
-// TestClusterProgressMerge checks /v1/progress fans out and merges, and
-// that the top-level JSON stays decodable as a plain sched.Progress
+// TestClusterProgressMerge checks /v1/progress fans out and merges into
+// the same sched.Progress a single speard serves, plus the health banner
 // (the spearstat compatibility contract).
 func TestClusterProgressMerge(t *testing.T) {
 	mk := func(p sched.Progress) *httptest.Server {
@@ -384,15 +341,11 @@ func TestClusterProgressMerge(t *testing.T) {
 		t.Errorf("merged counts = done=%d running=%d failed=%d, want 5/1/1",
 			flat.JobsDone, flat.JobsRunning, flat.JobsFailed)
 	}
-	var cp ClusterProgress
-	if err := json.Unmarshal(w.Body.Bytes(), &cp); err != nil {
-		t.Fatal(err)
-	}
-	if len(cp.Shards) != 3 {
-		t.Fatalf("shards = %d, want 3", len(cp.Shards))
+	if len(flat.Shards) != 3 {
+		t.Fatalf("shards = %d, want 3", len(flat.Shards))
 	}
 	var downErr string
-	for _, s := range cp.Shards {
+	for _, s := range flat.Shards {
 		if s.Addr == down.URL {
 			downErr = s.Error
 		}
@@ -408,7 +361,7 @@ func TestHealthAndReadyz(t *testing.T) {
 	a := newFakeBackend(t)
 	rt := testRouter(t, Config{Backends: []string{a.srv.URL}, HealthInterval: 20 * time.Millisecond})
 
-	waitState := func(want BackendState) {
+	waitState := func(want sched.ShardState) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
@@ -420,7 +373,7 @@ func TestHealthAndReadyz(t *testing.T) {
 		t.Fatalf("backend never reached %s (now %s)", want, rt.Shards()[0].State)
 	}
 
-	waitState(BackendReady)
+	waitState(sched.ShardReady)
 	get := func() int {
 		w := httptest.NewRecorder()
 		rt.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/readyz", nil))
@@ -430,13 +383,196 @@ func TestHealthAndReadyz(t *testing.T) {
 		t.Fatal("readyz not 200 with a ready backend")
 	}
 	a.draining.Store(true)
-	waitState(BackendDraining)
+	waitState(sched.ShardDraining)
 	if get() != http.StatusServiceUnavailable {
 		t.Fatal("readyz not 503 with every backend draining")
 	}
 	a.draining.Store(false)
-	waitState(BackendReady)
+	waitState(sched.ShardReady)
 	if get() != http.StatusOK {
 		t.Fatal("readyz did not recover")
+	}
+}
+
+// shardState returns the router's health entry for addr.
+func shardState(rt *Router, addr string) sched.ShardHealth {
+	for _, s := range rt.Shards() {
+		if s.Addr == addr {
+			return s
+		}
+	}
+	return sched.ShardHealth{}
+}
+
+// waitReady blocks until every backend's first probe has landed ready.
+func waitReady(t *testing.T, rt *Router) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		ready := 0
+		for _, s := range rt.Shards() {
+			if s.State == sched.ShardReady {
+				ready++
+			}
+		}
+		if ready == len(rt.cfg.Backends) {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("backends never all ready: %+v", rt.Shards())
+}
+
+// dialGate is a Config.Transport that counts dials per address and
+// refuses the addresses marked dead. Keep-alives are off, so every
+// exchange and every probe dials.
+type dialGate struct {
+	mu    sync.Mutex
+	dials map[string]int
+	dead  map[string]bool
+}
+
+func newDialGate() (*dialGate, *http.Transport) {
+	g := &dialGate{dials: map[string]int{}, dead: map[string]bool{}}
+	var d net.Dialer
+	tr := &http.Transport{
+		DisableKeepAlives: true,
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			g.mu.Lock()
+			g.dials[addr]++
+			dead := g.dead[addr]
+			g.mu.Unlock()
+			if dead {
+				return nil, errors.New("connection refused")
+			}
+			return d.DialContext(ctx, network, addr)
+		},
+	}
+	return g, tr
+}
+
+func (g *dialGate) set(fb *fakeBackend, dead bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.dead[fb.srv.Listener.Addr().String()] = dead
+}
+
+func (g *dialGate) count(fb *fakeBackend) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.dials[fb.srv.Listener.Addr().String()]
+}
+
+// TestFailedExchangeMarksShardDown pins the one liveness view routing
+// reads: a proxied exchange that fails marks its backend down, later
+// submissions skip it without dialing, the next good probe restores it,
+// and with every backend down the submission is shed naming each one.
+func TestFailedExchangeMarksShardDown(t *testing.T) {
+	a, b := newFakeBackend(t), newFakeBackend(t)
+	gate, tr := newDialGate()
+	// The poll never ticks on its own: the test runs each probe.
+	rt := testRouter(t, Config{Backends: []string{a.srv.URL, b.srv.URL}, HealthInterval: time.Hour, Transport: tr})
+	waitReady(t, rt)
+
+	var req sched.Request
+	json.Unmarshal([]byte(tinyBody), &req)
+	owner, other := a, b
+	if rt.ring.Owner(req.Key()) == b.srv.URL {
+		owner, other = b, a
+	}
+
+	gate.set(owner, true)
+	if w := postSweep(t, rt, tinyBody); w.Code != http.StatusAccepted {
+		t.Fatalf("submit with refusing owner = %d: %s", w.Code, w.Body)
+	}
+	if h := shardState(rt, owner.srv.URL); h.State != sched.ShardDown || !strings.Contains(h.Error, "connection refused") {
+		t.Fatalf("owner after a failed exchange = %+v, want down with the dial error", h)
+	}
+
+	dials := gate.count(owner)
+	if w := postSweep(t, rt, tinyBody); w.Code != http.StatusAccepted {
+		t.Fatalf("submit with down owner = %d: %s", w.Code, w.Body)
+	}
+	if got := gate.count(owner); got != dials {
+		t.Errorf("down owner dialed %d more times, want skipped", got-dials)
+	}
+	if other.submits.Load() != 2 || owner.submits.Load() != 0 {
+		t.Errorf("submits owner=%d other=%d, want 0 and 2", owner.submits.Load(), other.submits.Load())
+	}
+
+	gate.set(owner, false)
+	rt.checkOne(owner.srv.URL)
+	if h := shardState(rt, owner.srv.URL); h.State != sched.ShardReady {
+		t.Fatalf("owner after a good probe = %+v, want ready", h)
+	}
+	if w := postSweep(t, rt, tinyBody); w.Code != http.StatusAccepted || owner.submits.Load() != 1 {
+		t.Fatalf("submit after recovery = %d, owner submits %d; want 202 on the owner", w.Code, owner.submits.Load())
+	}
+
+	gate.set(a, true)
+	gate.set(b, true)
+	rt.checkAll()
+	da, db := gate.count(a), gate.count(b)
+	w := postSweep(t, rt, tinyBody)
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("all-down submit = %d, want 503", w.Code)
+	}
+	if gate.count(a) != da || gate.count(b) != db {
+		t.Error("all-down submit dialed a down backend")
+	}
+	var eb errorBody
+	if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil {
+		t.Fatal(err)
+	}
+	for _, fb := range []*fakeBackend{a, b} {
+		if !strings.Contains(eb.Error, fb.srv.URL+": down (") {
+			t.Errorf("shed error does not name down backend %s: %q", fb.srv.URL, eb.Error)
+		}
+	}
+	if ra := w.Header().Get("Retry-After"); ra != "3600" {
+		t.Errorf("Retry-After = %q, want the health interval (3600)", ra)
+	}
+}
+
+// TestClientCancelKeepsShardLive: clients hanging up on slow reads say
+// nothing about the shard, so they must not take it out of service.
+func TestClientCancelKeepsShardLive(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/report", func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done() // hold the report until the caller gives up
+	})
+	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusAccepted, map[string]string{"id": "job"})
+	})
+	backend := httptest.NewServer(mux)
+	defer backend.Close()
+
+	// No retries: each hang-up lands on the exchange's last attempt.
+	rt := testRouter(t, Config{Backends: []string{backend.URL}, HealthInterval: time.Hour, Retries: -1})
+	readyz := func() int {
+		w := httptest.NewRecorder()
+		rt.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+		return w.Code
+	}
+	for deadline := time.Now().Add(5 * time.Second); readyz() != http.StatusOK; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("backend never probed ready")
+		}
+	}
+
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		rt.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/jobs/abc/report", nil).WithContext(ctx))
+		cancel()
+	}
+
+	if w := postSweep(t, rt, tinyBody); w.Code != http.StatusAccepted {
+		t.Errorf("submit after cancelled reads = %d, want 202: %s", w.Code, w.Body)
+	}
+	if code := readyz(); code != http.StatusOK {
+		t.Errorf("proxy readyz after cancelled reads = %d, want 200", code)
 	}
 }

@@ -641,6 +641,28 @@ type Progress struct {
 	// labels, event-time bounds. Running jobs contribute their journal's
 	// live state (read from disk); finished ones their final tallies.
 	Runs journal.Progress `json:"runs"`
+
+	// Shards is the per-shard health banner a router adds to the merged
+	// view of its cluster; a single speard leaves it empty.
+	Shards []ShardHealth `json:"shards,omitempty"`
+}
+
+// ShardState is one shard's liveness as a router sees it.
+type ShardState string
+
+const (
+	ShardReady    ShardState = "ready"
+	ShardDraining ShardState = "draining"
+	ShardDown     ShardState = "down"
+	ShardUnknown  ShardState = "unknown" // not probed yet
+)
+
+// ShardHealth is one entry of the cluster health banner. Error carries
+// the detail of a down shard: the failed probe or proxied exchange.
+type ShardHealth struct {
+	Addr  string     `json:"addr"`
+	State ShardState `json:"state"`
+	Error string     `json:"error,omitempty"`
 }
 
 // Progress computes the aggregate. Reading a running job's journal uses

@@ -420,6 +420,33 @@ func TestProgressEndpoint(t *testing.T) {
 	t.Fatal("no data frame before stream closed")
 }
 
+// TestProgressWireBytes pins a single speard's /v1/progress body byte
+// for byte: the shards banner a router adds stays off the wire here.
+func TestProgressWireBytes(t *testing.T) {
+	ts, _ := testServer(t, staticEngine(t, tinyOptions(), tinyLoop), sched.Config{Workers: 1})
+	status, body := getBody(t, ts.URL+"/v1/progress")
+	if status != http.StatusOK {
+		t.Fatalf("progress = %d", status)
+	}
+	const want = `{
+  "jobs_queued": 0,
+  "jobs_running": 0,
+  "jobs_done": 0,
+  "jobs_failed": 0,
+  "jobs_interrupted": 0,
+  "jobs_shed": 0,
+  "runs": {
+    "done": 0,
+    "failed": 0,
+    "skipped": 0
+  }
+}
+`
+	if string(body) != want {
+		t.Errorf("idle /v1/progress body changed:\n%s\nwant:\n%s", body, want)
+	}
+}
+
 // TestMetricsServed sanity-checks that /metrics serves the registry the
 // scheduler counts into.
 func TestMetricsServed(t *testing.T) {
