@@ -11,7 +11,6 @@
 //	spearbench -json -journal sweep.journal -resume > report.json
 //	spearbench -fsck -journal sweep.journal
 //	spearbench -compact -journal sweep.journal
-//	spearbench -json -perf-out BENCH_dev.json > report.json
 //	spearbench -json -autoprofile profiles/ > report.json
 //	spearbench -json -debug-addr localhost:6060 -journal sweep.journal > report.json
 //
@@ -21,14 +20,14 @@
 // with spearstat. -cpuprofile and -memprofile write pprof profiles of the
 // sweep itself.
 //
-// Performance observability (sweep mode): -perf-out captures the sweep
-// as a spear-bench/1 baseline document (per-stage simulator host time,
-// journal I/O, allocs, committed-instrs/sec; diff two with spearstat
-// -bench); -autoprofile re-runs the sweep's slowest pair under the CPU
-// profiler into a directory; -debug-addr serves /debug/pprof/ and
-// /metrics live. Any of these attaches the perf registry, which also
-// stamps Result.Timing onto every row — perf-enabled reports carry host
-// timing and so are not byte-reproducible across runs.
+// Performance observability (sweep mode): -autoprofile re-runs the
+// sweep's slowest pair under the CPU profiler into a directory;
+// -debug-addr serves /debug/pprof/ and /metrics live. Either attaches
+// the perf registry, which also stamps Result.Timing onto every row —
+// perf-enabled reports carry host timing and so are not
+// byte-reproducible across runs. spear-bench/1 performance documents
+// come from the repository benchmark (bash bench/run.sh --out FILE);
+// spearstat -bench compares two.
 //
 // Sweeps execute their (kernel, machine) pairs on a bounded worker pool
 // of -parallel goroutines (default GOMAXPROCS). The report's rows keep
@@ -93,7 +92,6 @@ import (
 	"runtime/pprof"
 	"strings"
 	"syscall"
-	"time"
 
 	"spear/internal/cpu"
 	"spear/internal/exitcode"
@@ -135,7 +133,6 @@ func main() {
 	compact := flag.Bool("compact", false, "fold the journal in -journal down to each run's latest record and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	perfOut := flag.String("perf-out", "", "with -json/-csv: write a spear-bench/1 perf-baseline document to this file (diff with spearstat -bench)")
 	autoProf := flag.String("autoprofile", "", "with -json/-csv: after the sweep, re-run its slowest pair under the CPU profiler and write cpu.pprof/heap.pprof into this directory")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof/ and /metrics (JSON registry snapshot) on this address for live inspection")
 	flag.Usage = func() {
@@ -184,7 +181,7 @@ written); a second forces an immediate exit.
 			experiment: *experiment, kernels: *kernels, parallel: *parallel, seed: *seed,
 			verbose: *verbose, asJSON: *asJSON, asCSV: *asCSV,
 			journalDir: *journalDir, resume: *resume,
-			perfOut: *perfOut, autoProfile: *autoProf, debugAddr: *debugAddr,
+			autoProfile: *autoProf, debugAddr: *debugAddr,
 		})
 	})
 	switch {
@@ -276,7 +273,6 @@ type runOptions struct {
 	asCSV       bool
 	journalDir  string
 	resume      bool
-	perfOut     string
 	autoProfile string
 	debugAddr   string
 }
@@ -304,14 +300,14 @@ func run(ctx context.Context, ro runOptions) error {
 	if ro.journalDir != "" && !ro.asJSON && !ro.asCSV {
 		return fmt.Errorf("-journal applies to sweep mode; add -json or -csv")
 	}
-	if (ro.perfOut != "" || ro.autoProfile != "") && !ro.asJSON && !ro.asCSV {
-		return fmt.Errorf("-perf-out/-autoprofile apply to sweep mode; add -json or -csv")
+	if ro.autoProfile != "" && !ro.asJSON && !ro.asCSV {
+		return fmt.Errorf("-autoprofile applies to sweep mode; add -json or -csv")
 	}
 
 	// Any perf surface turns the registry on; it is shared by the
 	// simulator, the harness spans, the journal, and /metrics.
 	var reg *perf.Registry
-	if ro.perfOut != "" || ro.autoProfile != "" || ro.debugAddr != "" {
+	if ro.autoProfile != "" || ro.debugAddr != "" {
 		reg = perf.NewRegistry()
 		opts.Perf = reg
 	}
@@ -355,15 +351,10 @@ func run(ctx context.Context, ro runOptions) error {
 				fmt.Fprintln(os.Stderr)
 			}
 		}
-		mallocs0, bytes0 := sweepMemStats()
-		sweepStart := time.Now()
 		rep, _, err := sched.Exec(ctx, sched.EngineForSuite(suite), sched.Request{Seed: seed, Experiment: "sweep"}, spec)
 		if err != nil {
 			return err
 		}
-		st := benchStats{wall: time.Since(sweepStart)}
-		mallocs1, bytes1 := sweepMemStats()
-		st.allocs, st.heapBytes = mallocs1-mallocs0, bytes1-bytes0
 		if ro.asJSON {
 			err = rep.WriteJSON(out)
 		} else {
@@ -371,12 +362,6 @@ func run(ctx context.Context, ro runOptions) error {
 		}
 		if err != nil {
 			return err
-		}
-		if ro.perfOut != "" && !rep.Interrupted {
-			if err := writeBenchDoc(ro.perfOut, reg, rep, st); err != nil {
-				return fmt.Errorf("perf-out: %w", err)
-			}
-			fmt.Fprintf(os.Stderr, "spearbench: wrote perf baseline %s\n", ro.perfOut)
 		}
 		if ro.autoProfile != "" && !rep.Interrupted {
 			if err := autoProfile(ctx, suite, rep, ro.autoProfile); err != nil {

@@ -30,7 +30,7 @@
 // states, torn tails, and corrupt records.
 //
 // With -bench, spearstat instead compares two spear-bench/1 documents
-// (written by spearbench -perf-out) benchstat-style: per-metric old vs
+// (written by bash bench/run.sh --out) benchstat-style: per-metric old vs
 // new values, percentage deltas, and a verdict column driven by the
 // regression thresholds stored in the baseline. -bench-threshold N
 // overrides every gating threshold with a flat N%; -bench-warn reports

@@ -133,11 +133,12 @@ type Config struct {
 	// cycles into Result.Intervals.
 	MetricsInterval uint64
 
-	// Perf, when non-nil, switches the run loop to its timed variant:
-	// host time is attributed to per-stage buckets, published to the
-	// registry's cpu.* metrics every 64K cycles, and rolled up into
-	// Result.Timing. Nil (the default) keeps the untimed loop, whose
-	// only added cost is one predictable branch per cycle.
+	// Perf, when non-nil, turns on sampled stage timing: the run loop
+	// reads the clock between stages every 61st cycle, splits each
+	// 64K-cycle window's host time over per-stage buckets in proportion
+	// to those samples, publishes them to the registry's cpu.* metrics,
+	// and rolls them up into Result.Timing. Nil (the default) costs one
+	// predictable branch per cycle and one per stage.
 	Perf *perf.Registry
 }
 

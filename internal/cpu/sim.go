@@ -292,12 +292,14 @@ func RunContext(ctx context.Context, p *prog.Program, cfg Config) (*Result, erro
 	}
 	s.ctx = ctx
 	loopStart := perf.Now()
+	s.tmr.winStart = loopStart
 	err = s.runLoop()
-	loopNanos := uint64(perf.Now() - loopStart)
+	loopEnd := perf.Now()
+	loopNanos := uint64(loopEnd - loopStart)
 	if s.tmr.on {
 		// Final partial stage window, published before the telemetry
 		// flush below so its KindSpan events reach the sinks.
-		s.flushStageNanos()
+		s.flushStageNanos(loopEnd)
 	}
 	// Deliver buffered telemetry even when the run aborted: a partial
 	// event stream is exactly what a deadlock diagnosis needs.
@@ -424,6 +426,11 @@ func newSim(p *prog.Program, cfg Config) (*sim, error) {
 	return s, nil
 }
 
+// windowMask sets the run loop's 64K-cycle window: on every cycle with
+// cycle&windowMask == 0 the loop polls its context and, with stage
+// timing on, publishes the window's stage nanos.
+const windowMask = 0xFFFF
+
 // runLoop steps the machine to completion, aborting on MaxCycles (with a
 // diagnostic dump) or on context cancellation.
 func (s *sim) runLoop() error {
@@ -436,17 +443,19 @@ func (s *sim) runLoop() error {
 				Dump:      s.dumpState(),
 			}
 		}
-		if s.ctx != nil && s.cycle&0xFFFF == 0 {
-			if cerr := s.ctx.Err(); cerr != nil {
-				return fmt.Errorf("%w: %w at cycle %d (%d/%d instructions committed)",
-					ErrInterrupted, cerr, s.cycle, s.res.MainCommitted, s.oracle.Count)
+		if s.cycle&windowMask == 0 {
+			if s.tmr.on && s.cycle > 0 {
+				s.flushStageNanos(perf.Now())
+			}
+			if s.ctx != nil {
+				if cerr := s.ctx.Err(); cerr != nil {
+					return fmt.Errorf("%w: %w at cycle %d (%d/%d instructions committed)",
+						ErrInterrupted, cerr, s.cycle, s.res.MainCommitted, s.oracle.Count)
+				}
 			}
 		}
-		if s.tmr.on {
-			s.stepCycleTimed()
-		} else {
-			s.stepCycle()
-		}
+		s.tmr.sampleCycle(s.cycle)
+		s.stepCycle()
 	}
 	return nil
 }
@@ -485,18 +494,27 @@ func (s *sim) done() bool {
 
 // stepCycle advances one cycle, processing stages back to front so that a
 // result produced this cycle is visible to younger stages next cycle.
-// stepCycleTimed (timing.go) is the same sequence with a clock read
-// between stages; keep the two in lockstep.
+// Each lap charges the host time since the previous one to the stage
+// that just ran (timing.go).
 func (s *sim) stepCycle() {
 	s.beginCycle()
+	s.lap(stgBook)
 	s.commitStage()
+	s.lap(stgCommit)
 	s.completeStage()
+	s.lap(stgComplete)
 	s.issueStage()
+	s.lap(stgIssue)
 	extracted := s.extractStage()
+	s.lap(stgExtract)
 	s.dispatchStage(extracted)
+	s.lap(stgDispatch)
 	s.triggerStage()
+	s.lap(stgTrigger)
 	s.fetchStage()
+	s.lap(stgFetch)
 	s.endCycle()
+	s.lap(stgBook)
 }
 
 // beginCycle resets per-cycle structural resources and accumulates

@@ -1,24 +1,27 @@
 package cpu
 
 import (
+	"math/bits"
+
 	"spear/internal/obs"
 	"spear/internal/perf"
 )
 
-// Host-time stage attribution: when Config.Perf is set, the run loop
-// switches to a timed variant of stepCycle that reads the perf monotonic
-// clock between pipeline stages and accumulates per-stage host
-// nanoseconds locally. Every stageFlushMask+1 cycles (64K, matching the
-// run loop's context-poll cadence) the local accumulators are published
-// to the registry's cpu.stage.<name>.ns counters and, when telemetry is
+// Host-time stage attribution: when Config.Perf is set, stepCycle's
+// lap calls read the perf monotonic clock between pipeline stages on
+// every stageSampleStride-th cycle and accumulate the sampled nanos per
+// stage. At the end of each run-loop window (windowMask+1 cycles) and of
+// the loop itself, the window's measured wall time is split over the
+// stages in proportion to their sampled nanos, published to the
+// registry's cpu.stage.<name>.ns counters and, when telemetry is
 // recording, emitted as one obs KindSpan event per stage; the whole-run
-// totals land in Result.Timing. The untimed path is untouched except for
-// one predictable branch per cycle.
+// totals land in Result.Timing. With Config.Perf nil every lap is one
+// predictable branch.
 
-// Stage bucket indices for the timed step. "book" is the begin/end-of-
-// cycle bookkeeping (structural-resource reset, occupancy accounting,
-// ready-list fold, interval sampling) so the buckets together cover the
-// entire stepCycle body, not just the seven stage calls.
+// Stage bucket indices. "book" is the begin/end-of-cycle bookkeeping
+// (structural-resource reset, occupancy accounting, ready-list fold,
+// interval sampling) so the buckets together cover the entire stepCycle
+// body, not just the seven stage calls.
 const (
 	stgBook = iota
 	stgCommit
@@ -42,15 +45,21 @@ var stageNames = [numStages]string{
 	stgFetch:    "fetch",
 }
 
-// stageFlushMask gates the per-64K-cycle publish of stage accumulators.
-const stageFlushMask = 0xFFFF
+// stageSampleStride is the sampling period in cycles. It is prime so
+// that it does not alias with kernel loops whose period in cycles is a
+// power of two: a 64-cycle stride kept landing on the same phase of
+// art's inner loop and under-counted its extract stage.
+const stageSampleStride = 61
 
 // stageTiming is the sim's timing state; zero value = timing off.
 type stageTiming struct {
-	on  bool
-	acc [numStages]uint64 // nanos since the last flush (plain, single-threaded)
-	tot [numStages]uint64 // whole-run nanos
-	ctr [numStages]*perf.Counter
+	on       bool
+	sampled  bool              // this cycle's laps read the clock
+	mark     int64             // clock at the previous lap of a sampled cycle
+	winStart int64             // clock at the start of the current window
+	acc      [numStages]uint64 // sampled nanos in this window
+	tot      [numStages]uint64 // whole-run nanos
+	ctr      [numStages]*perf.Counter
 }
 
 func (st *stageTiming) init(reg *perf.Registry) {
@@ -58,6 +67,30 @@ func (st *stageTiming) init(reg *perf.Registry) {
 	for i := range stageNames {
 		st.ctr[i] = reg.Counter("cpu.stage." + stageNames[i] + ".ns")
 	}
+}
+
+// sampleCycle decides whether cycle is sampled (never with timing off)
+// and, if it is, starts its first lap.
+func (st *stageTiming) sampleCycle(cycle uint64) {
+	st.sampled = st.on && cycle%stageSampleStride == 0
+	if st.sampled {
+		st.mark = perf.Now()
+	}
+}
+
+// lap charges the host time since the previous lap to stage. It reads
+// the clock only on sampled cycles.
+func (s *sim) lap(stage int) {
+	if s.tmr.sampled {
+		s.tmr.lapSampled(stage)
+	}
+}
+
+// lapSampled is lap's clock read, kept out of lap so that lap inlines.
+func (st *stageTiming) lapSampled(stage int) {
+	now := perf.Now()
+	st.acc[stage] += uint64(now - st.mark)
+	st.mark = now
 }
 
 // Timing is the host-time attribution of one run, populated on Result
@@ -88,56 +121,47 @@ func (t *Timing) StageSum() uint64 {
 	return sum
 }
 
-// stepCycleTimed is stepCycle with a clock read between stages. It must
-// mirror stepCycle exactly: same calls, same order.
-func (s *sim) stepCycleTimed() {
-	t0 := perf.Now()
-	s.beginCycle()
-	t1 := perf.Now()
-	s.commitStage()
-	t2 := perf.Now()
-	s.completeStage()
-	t3 := perf.Now()
-	s.issueStage()
-	t4 := perf.Now()
-	extracted := s.extractStage()
-	t5 := perf.Now()
-	s.dispatchStage(extracted)
-	t6 := perf.Now()
-	s.triggerStage()
-	t7 := perf.Now()
-	s.fetchStage()
-	t8 := perf.Now()
-	s.endCycle()
-	t9 := perf.Now()
-
-	st := &s.tmr
-	st.acc[stgBook] += uint64(t1-t0) + uint64(t9-t8)
-	st.acc[stgCommit] += uint64(t2 - t1)
-	st.acc[stgComplete] += uint64(t3 - t2)
-	st.acc[stgIssue] += uint64(t4 - t3)
-	st.acc[stgExtract] += uint64(t5 - t4)
-	st.acc[stgDispatch] += uint64(t6 - t5)
-	st.acc[stgTrigger] += uint64(t7 - t6)
-	st.acc[stgFetch] += uint64(t8 - t7)
-
-	if s.cycle&stageFlushMask == 0 {
-		s.flushStageNanos()
+// splitWindow charges a window's measured nanos to the stages in
+// proportion to their sampled nanos. Each stage gets the difference of
+// the floored cumulative shares, so the result sums to window exactly
+// and each stage is within 1 ns of its proportional share. A window
+// with no sampled cycle is charged to book.
+func splitWindow(window uint64, sampled *[numStages]uint64) [numStages]uint64 {
+	var total uint64
+	for _, ns := range sampled {
+		total += ns
 	}
+	var out [numStages]uint64
+	if total == 0 {
+		out[stgBook] = window
+		return out
+	}
+	var cum, prev uint64
+	for i, ns := range sampled {
+		cum += ns
+		// floor(window*cum/total) cannot overflow: cum <= total.
+		hi, lo := bits.Mul64(window, cum)
+		q, _ := bits.Div64(hi, lo, total)
+		out[i] = q - prev
+		prev = q
+	}
+	return out
 }
 
-// flushStageNanos publishes the local stage accumulators: registry
-// counters always, one KindSpan event per nonzero bucket when telemetry
-// is recording this cycle.
-func (s *sim) flushStageNanos() {
+// flushStageNanos ends the current window at now: its wall time is
+// split over the stages and published, to the registry counters always
+// and as one KindSpan event per nonzero stage when telemetry is
+// recording this cycle.
+func (s *sim) flushStageNanos(now int64) {
 	st := &s.tmr
+	split := splitWindow(uint64(now-st.winStart), &st.acc)
+	st.acc = [numStages]uint64{}
+	st.winStart = now
 	emit := s.obsOn()
-	for i := range st.acc {
-		ns := st.acc[i]
+	for i, ns := range split {
 		if ns == 0 {
 			continue
 		}
-		st.acc[i] = 0
 		st.tot[i] += ns
 		st.ctr[i].Add(ns)
 		if emit {

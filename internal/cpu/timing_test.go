@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math/big"
 	"testing"
 
 	"spear/internal/obs"
@@ -80,29 +81,12 @@ func TestTimingCoverage(t *testing.T) {
 	}
 }
 
-func TestTimingDoesNotChangeSimulation(t *testing.T) {
-	p := compileSPEAR(t, 63, 64)
-	cfg := SPEARConfig(128, false)
-	r1, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Perf = perf.NewRegistry()
-	r2, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Cycles != r2.Cycles || r1.Extracted != r2.Extracted || r1.FinalStateHash != r2.FinalStateHash {
-		t.Error("enabling perf timing changed simulation results")
-	}
-}
-
 // TestTimingEmitsSpanEvents checks the obs integration: with both perf
 // and an event sink attached, stage rollups appear as KindSpan events
 // and their nanos match the Result's stage totals (every flush while
-// recording is also emitted; the final flush happens inside finish where
-// obsOn still reports the last cycle, so totals line up on runs shorter
-// than one flush window).
+// recording is also emitted; the final flush happens in RunContext
+// before the recorder is flushed, while obsOn still reports the last
+// cycle, so totals line up on runs shorter than one window).
 func TestTimingEmitsSpanEvents(t *testing.T) {
 	p := assemble(t, corePrograms["counted loop"])
 	cfg := fastConfig()
@@ -113,7 +97,7 @@ func TestTimingEmitsSpanEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cycles > stageFlushMask {
+	if res.Cycles > windowMask {
 		t.Skipf("kernel runs %d cycles; test assumes a single flush window", res.Cycles)
 	}
 	spanNs := map[string]uint64{}
@@ -134,10 +118,55 @@ func TestTimingEmitsSpanEvents(t *testing.T) {
 	}
 }
 
-// BenchmarkStepUntimed measures the untimed hot loop — the baseline for
-// the <=2% overhead criterion (compare with BenchmarkTelemetryOff before
-// and after instrumentation, and with BenchmarkStepTimed for the cost of
-// timing itself).
+// TestSplitWindow checks that a window's nanos are split over the stages
+// exactly and in proportion to their sampled nanos.
+func TestSplitWindow(t *testing.T) {
+	cases := []struct {
+		name    string
+		window  uint64
+		sampled [numStages]uint64
+	}{
+		{"even", 800, [numStages]uint64{1, 1, 1, 1, 1, 1, 1, 1}},
+		{"uneven", 1_000_003, [numStages]uint64{stgBook: 7, stgCommit: 3, stgIssue: 11, stgFetch: 5}},
+		{"one stage", 12345, [numStages]uint64{stgExtract: 99}},
+		{"window below samples", 5, [numStages]uint64{310, 20, 4000, 170, 90, 60, 3, 500}},
+		{"huge", 1 << 62, [numStages]uint64{1 << 40, 3, 1 << 41, 5, 7, 11, 13, 1 << 39}},
+	}
+	for _, c := range cases {
+		got := splitWindow(c.window, &c.sampled)
+		var sum, total uint64
+		for i := range got {
+			sum += got[i]
+			total += c.sampled[i]
+		}
+		if sum != c.window {
+			t.Errorf("%s: stages sum to %d, window is %d", c.name, sum, c.window)
+		}
+		for i := range got {
+			// |got - window*sampled/total| < 1, in exact integers:
+			// |got*total - window*sampled| < total.
+			d := new(big.Int).Mul(new(big.Int).SetUint64(got[i]), new(big.Int).SetUint64(total))
+			d.Sub(d, new(big.Int).Mul(new(big.Int).SetUint64(c.window), new(big.Int).SetUint64(c.sampled[i])))
+			if d.Abs(d).Cmp(new(big.Int).SetUint64(total)) >= 0 {
+				t.Errorf("%s: %s got %d ns, more than 1 ns from %d*%d/%d",
+					c.name, stageNames[i], got[i], c.window, c.sampled[i], total)
+			}
+			if c.sampled[i] == 0 && got[i] != 0 {
+				t.Errorf("%s: unsampled %s charged %d ns", c.name, stageNames[i], got[i])
+			}
+		}
+	}
+
+	// A window with no sampled cycle (a short final window) is book time.
+	got := splitWindow(4242, &[numStages]uint64{})
+	if want := ([numStages]uint64{stgBook: 4242}); got != want {
+		t.Errorf("unsampled window split %v, want %v", got, want)
+	}
+}
+
+// BenchmarkStepUntimed measures the hot loop with perf off, where every
+// lap is one untaken branch; BenchmarkStepTimed is the same run with
+// sampled stage timing on, so the pair prices the timing itself.
 func BenchmarkStepUntimed(b *testing.B) {
 	p := benchProgram(b)
 	cfg := fastConfig()

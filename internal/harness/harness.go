@@ -47,12 +47,12 @@ type Options struct {
 	// drills and is never set in normal operation.
 	FaultHook func(kernel, config string) error
 	// Perf, when non-nil, turns on performance observability for every
-	// run: the registry is handed to the simulator (per-stage host-time
-	// buckets, Result.Timing), harness spans (sweep, run) accumulate into
-	// it, and each run executes under pprof labels (kernel, config, run)
-	// so CPU profiles attribute samples to their (kernel, config) pair.
-	// Nil (the default) costs one branch per run and keeps reports
-	// byte-deterministic.
+	// run: the registry is handed to the simulator (sampled per-stage
+	// host-time buckets, Result.Timing), harness spans (sweep, run)
+	// accumulate into it, and each run executes under pprof labels
+	// (kernel, config, run) so CPU profiles attribute samples to their
+	// (kernel, config) pair. Nil (the default) costs one branch per run
+	// and keeps reports byte-deterministic.
 	Perf *perf.Registry
 }
 
@@ -267,8 +267,8 @@ func (s *Suite) runOnce(ctx context.Context, p *Prepared, cfg cpu.Config, key st
 	if reg == nil {
 		return runProtected(ctx, p.Ref, cfg, s.Opts.RunTimeout)
 	}
-	// Hand the registry to the simulator: this is what switches the
-	// cycle loop to its timed variant and populates Result.Timing.
+	// Hand the registry to the simulator: this is what turns on its
+	// sampled stage timing and populates Result.Timing.
 	cfg.Perf = reg
 	pprof.Do(ctx, pprof.Labels("kernel", p.Kernel.Name, "config", cfg.Name, "run", key), func(ctx context.Context) {
 		res, err = runProtected(ctx, p.Ref, cfg, s.Opts.RunTimeout)

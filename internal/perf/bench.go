@@ -14,8 +14,9 @@ import (
 const BenchSchema = "spear-bench/1"
 
 // Bench is one captured performance baseline: a named set of scalar
-// metrics plus the environment they were measured on. spearbench
-// -perf-out writes one; spearstat -bench compares two.
+// metrics plus the environment they were measured on. The repository
+// benchmark (bash bench/run.sh --out FILE) writes one; spearstat -bench
+// compares two.
 type Bench struct {
 	Schema  string   `json:"schema"`
 	Name    string   `json:"name"`

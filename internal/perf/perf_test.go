@@ -178,7 +178,7 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 }
 
 func TestBenchRoundTrip(t *testing.T) {
-	b := NewBench("baseline", CaptureEnv("2026-01-01T00:00:00Z", "go run ./cmd/spearbench -perf-out"))
+	b := NewBench("baseline", CaptureEnv("2026-01-01T00:00:00Z", "bash bench/run.sh --out BENCH_baseline.json"))
 	b.Add("sweep.wall.ns", "ns", 1e9, LowerIsBetter, 20)
 	b.Add("sim.throughput.ips", "instrs/s", 4e6, HigherIsBetter, 15)
 	var buf bytes.Buffer

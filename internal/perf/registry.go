@@ -2,8 +2,8 @@
 // lock-free metrics registry (counters, gauges, fixed-bucket histograms,
 // span timers) with an atomic snapshot API, hierarchical wall-clock span
 // timing, and the spear-bench/1 perf-baseline document that holds
-// measured gains across PRs (write with spearbench -perf-out, diff with
-// spearstat -bench).
+// measured gains across changes (write with bash bench/run.sh --out,
+// diff with spearstat -bench).
 //
 // The package follows the obs.Recorder zero-cost discipline: a nil
 // *Registry is a valid, permanently disabled registry, every metric
