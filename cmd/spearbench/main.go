@@ -216,8 +216,7 @@ func maintain(dir string, fsck, compact bool) error {
 		}
 		return nil
 	}
-	events := func(e journal.Event) { fmt.Fprintln(os.Stderr, "spearbench:", e) }
-	stats, err := journal.Compact(nil, dir, events)
+	stats, err := journal.Compact(nil, dir)
 	if err != nil {
 		return err
 	}
@@ -336,9 +335,6 @@ func run(ctx context.Context, ro runOptions) error {
 		// the speard server (internal/sched.Exec), so a CLI sweep and a
 		// POSTed one are the same computation end to end.
 		spec := sched.JournalSpec{Dir: ro.journalDir, Resume: ro.resume, Perf: reg}
-		if ro.verbose {
-			spec.Log = os.Stderr
-		}
 		if ro.resume {
 			spec.OnOpen = func(js sched.JournalStats) {
 				fmt.Fprintf(os.Stderr, "spearbench: resuming: %d completed runs replayed from the journal", js.Replayed)

@@ -75,9 +75,7 @@ func main() {
 	maxDeadline := flag.Duration("max-deadline", 0, "clamp on requested per-job deadlines (0 = no clamp)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for running jobs on SIGTERM before they are preempted")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "per-job simulation pool width (total concurrency = workers x parallel)")
-	storeTTL := flag.Duration("store-ttl", 0, "expire stored completed reports after this age (0 = keep forever)")
-	storeSweep := flag.Duration("store-sweep", 10*time.Minute, "interval between TTL expiry sweeps of the report store")
-	verbose := flag.Bool("v", false, "log job transitions and storage-health events to stderr")
+	verbose := flag.Bool("v", false, "log job transitions, journal recovery and report-store quarantines to stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "Usage: speard [flags]\n\nFlags:\n")
 		flag.PrintDefaults()
@@ -99,10 +97,10 @@ The first SIGINT/SIGTERM drains gracefully; a second forces an immediate exit.
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
 		DataDir:         *data,
-	}, *drainTimeout, *parallel, *storeTTL, *storeSweep, *verbose))
+	}, *drainTimeout, *parallel, *verbose))
 }
 
-func run(addr, data string, cfg sched.Config, drainTimeout time.Duration, parallel int, storeTTL, storeSweep time.Duration, verbose bool) int {
+func run(addr, data string, cfg sched.Config, drainTimeout time.Duration, parallel int, verbose bool) int {
 	if err := os.MkdirAll(data, 0o755); err != nil {
 		fmt.Fprintln(os.Stderr, "speard:", err)
 		return exitcode.Err
@@ -122,7 +120,7 @@ func run(addr, data string, cfg sched.Config, drainTimeout time.Duration, parall
 	// re-executed. Scan problems (quarantined damage) are logged and the
 	// affected entry is simply not indexed — startup never fails on a
 	// damaged journal.
-	ix, err := store.Open(store.Config{Dir: data, TTL: storeTTL, Perf: reg, Log: cfg.Log})
+	ix, err := store.Open(store.Config{Dir: data, Perf: reg, Log: cfg.Log})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "speard: report store:", err)
 		return exitcode.Err
@@ -137,27 +135,6 @@ func run(addr, data string, cfg sched.Config, drainTimeout time.Duration, parall
 	engine := sched.NewSuiteEngine(opts)
 	scheduler := sched.New(engine, cfg)
 	defer scheduler.Close()
-
-	// TTL expiry is a background sweep, not a per-Get side effect alone:
-	// entries age out even when nobody asks for them.
-	if storeTTL > 0 && storeSweep > 0 {
-		stopSweep := make(chan struct{})
-		defer close(stopSweep)
-		go func() {
-			tick := time.NewTicker(storeSweep)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopSweep:
-					return
-				case <-tick.C:
-					if n := ix.Expire(time.Now()); n > 0 && verbose {
-						fmt.Fprintf(os.Stderr, "speard: report store expired %d entr(ies)\n", n)
-					}
-				}
-			}
-		}()
-	}
 
 	srv := speard.New(scheduler, reg)
 	httpSrv := &http.Server{Handler: srv.Handler()}

@@ -5,8 +5,7 @@
 // Usage:
 //
 //	spearproxy -backends http://h1:8791,http://h2:8791,http://h3:8791
-//	           [-addr :8790] [-health-interval 1s] [-timeout 15s]
-//	           [-retries 2] [-backoff 50ms] [-backoff-max 2s] [-v]
+//	           [-addr :8790] [-health-interval 1s] [-timeout 15s] [-v]
 //
 // Requests are routed by the same SHA-256 content hash speard dedups
 // on, so one request always lands on the same shard; after a shard
@@ -18,9 +17,11 @@
 // carries a per-shard health banner; spearstat -addr pointed at the
 // proxy renders the whole cluster.
 //
-// A shard whose /readyz probe or proxied exchange fails is marked down
-// and skipped without a connection attempt until its next good probe,
-// one -health-interval later at most.
+// Each shard gets one attempt per request, bounded by -timeout. A shard
+// whose /readyz probe or proxied exchange fails is marked down, the
+// request fails over to the ring successor, and the shard is skipped
+// without a connection attempt until its next good probe, one
+// -health-interval later at most.
 //
 // No backend available is never silent: the submission is answered 503
 // with an aggregated Retry-After and a per-backend reason list.
@@ -55,9 +56,6 @@ func main() {
 	backends := flag.String("backends", "", "comma-separated speard base URLs (required)")
 	healthInterval := flag.Duration("health-interval", time.Second, "interval between /readyz health probes")
 	timeout := flag.Duration("timeout", 15*time.Second, "per-attempt proxy timeout (SSE streams exempt)")
-	retries := flag.Int("retries", 2, "connection retries per backend before failing over")
-	backoff := flag.Duration("backoff", 50*time.Millisecond, "base retry backoff (exponential, jittered)")
-	backoffMax := flag.Duration("backoff-max", 2*time.Second, "retry backoff cap")
 	verbose := flag.Bool("v", false, "log failovers and health changes to stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "Usage: spearproxy -backends url,url,... [flags]\n\nFlags:\n")
@@ -73,9 +71,6 @@ Exit codes:
 	os.Exit(run(*addr, *backends, router.Config{
 		HealthInterval: *healthInterval,
 		AttemptTimeout: *timeout,
-		Retries:        *retries,
-		BackoffBase:    *backoff,
-		BackoffMax:     *backoffMax,
 	}, *verbose))
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"sync"
@@ -61,27 +60,11 @@ type SweepJournalConfig struct {
 	// FS is the filesystem the journal lives on (nil = the real one).
 	// Torture tests substitute an iofault.Faulty.
 	FS iofault.FS
-	// Log receives one human-readable line per storage-health event.
-	Log io.Writer
 	// Perf, when non-nil, receives the journal's I/O metrics (commit and
-	// fsync wall time, commits, bytes) — typically the same registry as
-	// Options.Perf so one snapshot covers simulation and storage.
+	// fsync wall time, commits, bytes, commit retries, ENOSPC backoffs) —
+	// typically the same registry as Options.Perf so one snapshot covers
+	// simulation and storage.
 	Perf *perf.Registry
-}
-
-// events builds the journal.EventFunc writing one log line per
-// storage-health event. Journal events can fire from the writer
-// goroutine, so the bridge owns a mutex.
-func (c SweepJournalConfig) events() journal.EventFunc {
-	if c.Log == nil {
-		return nil
-	}
-	var mu sync.Mutex
-	return func(e journal.Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		fmt.Fprintf(c.Log, "%s\n", e)
-	}
 }
 
 // OpenSweepJournal opens the journal in dir with default settings. See
@@ -102,11 +85,10 @@ func OpenSweepJournalConfig(dir string, resume bool, cfg SweepJournalConfig) (*S
 	if fsys == nil {
 		fsys = iofault.OS()
 	}
-	events := cfg.events()
 	j := &SweepJournal{state: journal.Replay(nil, false), repair: &journal.RepairStats{}}
 	if resume {
 		var err error
-		j.repair, err = journal.Repair(fsys, dir, events)
+		j.repair, err = journal.Repair(fsys, dir)
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +97,7 @@ func OpenSweepJournalConfig(dir string, resume bool, cfg SweepJournalConfig) (*S
 			return nil, err
 		}
 	}
-	w, err := journal.OpenConfig(dir, !resume, journal.Config{FS: fsys, Events: events, Perf: cfg.Perf})
+	w, err := journal.OpenConfig(dir, !resume, journal.Config{FS: fsys, Perf: cfg.Perf})
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -126,9 +125,9 @@ func TestTortureKillCrashResume(t *testing.T) {
 
 // TestQuarantinedJournalResumeConverges pins the corrupt-but-resumable
 // contract end to end: an interior record is bit-flipped (silent media
-// damage), and the resume quarantines it to the sidecar, emits the
-// typed obs events, re-executes exactly the damaged run, and still
-// converges to the byte-identical report.
+// damage), and the resume quarantines it to the sidecar, reports the
+// count through Quarantined(), re-executes exactly the damaged run, and
+// still converges to the byte-identical report.
 func TestQuarantinedJournalResumeConverges(t *testing.T) {
 	cfgs := twoConfigs()
 	clean := reportBytes(t, tinySuite(t, tinyOptions(), "tiny").
@@ -154,6 +153,7 @@ func TestQuarantinedJournalResumeConverges(t *testing.T) {
 	}
 	lines := bytes.Split(data, []byte("\n"))
 	lines[2][len(lines[2])/2] ^= 0x01
+	damaged := append([]byte(nil), lines[2]...)
 	if err := os.WriteFile(path, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +165,7 @@ func TestQuarantinedJournalResumeConverges(t *testing.T) {
 		return nil
 	}
 	rs := tinySuite(t, opts, "tiny")
-	var log bytes.Buffer
-	rj, err := OpenSweepJournalConfig(dir, true, SweepJournalConfig{Log: &log})
+	rj, err := OpenSweepJournal(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,15 +185,12 @@ func TestQuarantinedJournalResumeConverges(t *testing.T) {
 		t.Errorf("quarantine resume differs from clean sweep:\nclean:\n%s\nresumed:\n%s", clean, got)
 	}
 
-	// The damaged record is preserved as evidence in the sidecar.
-	if _, err := os.Stat(filepath.Join(dir, journal.QuarantineName)); err != nil {
+	// The damaged record is preserved verbatim as evidence in the sidecar.
+	side, err := os.ReadFile(filepath.Join(dir, journal.QuarantineName))
+	if err != nil {
 		t.Errorf("quarantine sidecar missing: %v", err)
-	}
-	// The degradation surfaced as log lines.
-	for _, want := range []string{"journal quarantine", "journal repair"} {
-		if !strings.Contains(log.String(), want) {
-			t.Errorf("log output %q lacks a %q line", log.String(), want)
-		}
+	} else if !bytes.Equal(side, append(damaged, '\n')) {
+		t.Errorf("sidecar = %q, want exactly the damaged line %q", side, damaged)
 	}
 
 	// After the healing resume, fsck is clean.

@@ -159,9 +159,6 @@ type Config struct {
 	// FS is the filesystem the journal lives on (nil = the real one).
 	// Tests substitute an iofault.Faulty to inject I/O failures.
 	FS iofault.FS
-	// Events receives storage-health notifications (nil = dropped). The
-	// callback may fire from the writer goroutine.
-	Events EventFunc
 	// CommitRetries is the total number of attempts a group commit makes
 	// before failing its appends (default 3). Between attempts the file
 	// is truncated back to the last durable offset, so a torn write from
@@ -172,8 +169,10 @@ type Config struct {
 	// free space (default 50ms).
 	NospcBackoff time.Duration
 	// Perf, when non-nil, receives journal I/O metrics: journal.commits,
-	// journal.bytes, journal.write.ns (write+sync wall time), and
-	// journal.fsync.ns (the sync alone). Nil costs nothing.
+	// journal.bytes, journal.write.ns (write+sync wall time),
+	// journal.fsync.ns (the sync alone), and the recoveries
+	// journal.commit_retries and journal.enospc_backoffs. Nil costs
+	// nothing.
 	Perf *perf.Registry
 }
 
@@ -190,12 +189,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) event(e Event) {
-	if c.Events != nil {
-		c.Events(e)
-	}
-}
-
 // Writer appends records to the journal file, fsync'ing each one so that
 // a record returned from Append survives any subsequent crash.
 //
@@ -209,23 +202,23 @@ func (c Config) event(e Event) {
 //
 // Failed commits are retried: the file is truncated back to the last
 // durable offset (undoing any torn write), ENOSPC waits out a backoff,
-// and each recovery emits a typed Event so degraded storage is visible
-// in telemetry.
+// and each recovery is counted in Config.Perf so degraded storage is
+// visible in the metrics.
 type Writer struct {
 	mu     sync.Mutex // guards closed and the send into reqs
 	closed bool
 	reqs   chan appendReq
 	done   chan struct{} // closed when the writer goroutine exits
 
-	cfg  Config
-	fs   iofault.FS
-	f    iofault.File
-	path string
-	off  int64 // bytes known durably committed; failed commits truncate back to it
+	cfg Config
+	fs  iofault.FS
+	f   iofault.File
+	off int64 // bytes known durably committed; failed commits truncate back to it
 
 	// Perf counter handles, resolved once at open; nil (no-op) without
 	// Config.Perf.
 	cCommits, cBytes, cWriteNs, cFsyncNs *perf.Counter
+	cRetries, cBackoffs                  *perf.Counter
 }
 
 // appendReq is one marshalled line awaiting the writer goroutine; errc
@@ -273,11 +266,13 @@ func OpenConfig(dir string, truncate bool, cfg Config) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	w := &Writer{cfg: cfg, fs: fsys, f: f, path: path, reqs: make(chan appendReq, 64), done: make(chan struct{})}
+	w := &Writer{cfg: cfg, fs: fsys, f: f, reqs: make(chan appendReq, 64), done: make(chan struct{})}
 	w.cCommits = cfg.Perf.Counter("journal.commits")
 	w.cBytes = cfg.Perf.Counter("journal.bytes")
 	w.cWriteNs = cfg.Perf.Counter("journal.write.ns")
 	w.cFsyncNs = cfg.Perf.Counter("journal.fsync.ns")
+	w.cRetries = cfg.Perf.Counter("journal.commit_retries")
+	w.cBackoffs = cfg.Perf.Counter("journal.enospc_backoffs")
 	if fresh {
 		if err := w.commitBytes([]byte(Header + "\n")); err != nil {
 			_ = f.Close()
@@ -355,10 +350,10 @@ func (w *Writer) commitBytes(buf []byte) error {
 	for attempt := 1; attempt <= w.cfg.CommitRetries; attempt++ {
 		if attempt > 1 {
 			if errors.Is(err, syscall.ENOSPC) {
-				w.cfg.event(Event{Kind: EventNospcBackoff, Path: w.path, Attempt: attempt - 1, Err: err})
+				w.cBackoffs.Add(1)
 				time.Sleep(w.cfg.NospcBackoff)
 			} else {
-				w.cfg.event(Event{Kind: EventCommitRetry, Path: w.path, Attempt: attempt - 1, Err: err})
+				w.cRetries.Add(1)
 			}
 			if terr := w.f.Truncate(w.off); terr != nil {
 				// Even the undo failed; never write on top of a torn tail —

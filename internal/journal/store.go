@@ -27,78 +27,6 @@ import (
 // preserved, the journal itself heals.
 const QuarantineName = FileName + ".quarantine"
 
-// EventKind classifies a storage-health event.
-type EventKind uint8
-
-const (
-	// EventCommitRetry: a group commit failed and is being retried after
-	// truncating away any torn write.
-	EventCommitRetry EventKind = 1 + iota
-	// EventNospcBackoff: a commit hit ENOSPC and is backing off.
-	EventNospcBackoff
-	// EventQuarantine: corrupt records were moved to the sidecar.
-	EventQuarantine
-	// EventRepair: the journal was rewritten without its damaged records.
-	EventRepair
-	// EventCompact: the journal was compacted to its live records.
-	EventCompact
-)
-
-var eventKindNames = [...]string{
-	EventCommitRetry:  "commit-retry",
-	EventNospcBackoff: "enospc-backoff",
-	EventQuarantine:   "quarantine",
-	EventRepair:       "repair",
-	EventCompact:      "compact",
-}
-
-func (k EventKind) String() string {
-	if int(k) < len(eventKindNames) && eventKindNames[k] != "" {
-		return eventKindNames[k]
-	}
-	return "unknown"
-}
-
-// Event is one storage-health notification: degraded or damaged I/O
-// that an operator should see in telemetry even though the store
-// recovered (or is recovering) on its own.
-type Event struct {
-	Kind EventKind
-	// Path is the file involved.
-	Path string
-	// Attempt is the retry/backoff attempt number (retry events).
-	Attempt int
-	// Records is the number of records affected (quarantine/compact).
-	Records int
-	// Err is the underlying failure, if any.
-	Err error
-}
-
-func (e Event) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "journal %s: %s", e.Kind, e.Path)
-	if e.Attempt > 0 {
-		fmt.Fprintf(&b, " (attempt %d)", e.Attempt)
-	}
-	if e.Records > 0 {
-		fmt.Fprintf(&b, " (%d records)", e.Records)
-	}
-	if e.Err != nil {
-		fmt.Fprintf(&b, ": %v", e.Err)
-	}
-	return b.String()
-}
-
-// EventFunc receives storage-health events. It may be called from the
-// writer goroutine; implementations must be safe for that.
-type EventFunc func(Event)
-
-func emit(events EventFunc, e Event) {
-	if events != nil {
-		events(e)
-	}
-}
-
 // FsckReport is the integrity walk of one journal directory.
 type FsckReport struct {
 	Dir string
@@ -214,7 +142,7 @@ type RepairStats struct {
 // with only its intact records — original bytes preserved verbatim —
 // and a torn tail is dropped. A missing or healthy journal is a no-op.
 // Repair must not run concurrently with a live Writer on the directory.
-func Repair(fsys iofault.FS, dir string, events EventFunc) (*RepairStats, error) {
+func Repair(fsys iofault.FS, dir string) (*RepairStats, error) {
 	if fsys == nil {
 		fsys = iofault.OS()
 	}
@@ -234,7 +162,7 @@ func Repair(fsys iofault.FS, dir string, events EventFunc) (*RepairStats, error)
 		return stats, nil
 	}
 	if len(sr.Bad) > 0 {
-		if err := quarantine(fsys, dir, sr.Bad, events); err != nil {
+		if err := quarantine(fsys, dir, sr.Bad); err != nil {
 			return nil, err
 		}
 		stats.Quarantined = len(sr.Bad)
@@ -244,12 +172,11 @@ func Repair(fsys iofault.FS, dir string, events EventFunc) (*RepairStats, error)
 		return nil, err
 	}
 	stats.Rewritten = true
-	emit(events, Event{Kind: EventRepair, Path: filepath.Join(dir, FileName), Records: len(sr.Recs)})
 	return stats, nil
 }
 
 // quarantine appends damaged lines to the sidecar, durably.
-func quarantine(fsys iofault.FS, dir string, bad []Quarantined, events EventFunc) error {
+func quarantine(fsys iofault.FS, dir string, bad []Quarantined) error {
 	path := filepath.Join(dir, QuarantineName)
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -274,7 +201,6 @@ func quarantine(fsys iofault.FS, dir string, bad []Quarantined, events EventFunc
 	if err := fsys.SyncDir(dir); err != nil {
 		return fmt.Errorf("journal: quarantine: %w", err)
 	}
-	emit(events, Event{Kind: EventQuarantine, Path: path, Records: len(bad)})
 	return nil
 }
 
@@ -331,7 +257,7 @@ type CompactStats struct {
 // v1-to-v2 upgrade path); damaged records are quarantined first. The
 // rewrite is atomic and directory-fsync'd. Compact must not run
 // concurrently with a live Writer on the directory.
-func Compact(fsys iofault.FS, dir string, events EventFunc) (*CompactStats, error) {
+func Compact(fsys iofault.FS, dir string) (*CompactStats, error) {
 	if fsys == nil {
 		fsys = iofault.OS()
 	}
@@ -348,7 +274,7 @@ func Compact(fsys iofault.FS, dir string, events EventFunc) (*CompactStats, erro
 		return nil, err
 	}
 	if len(sr.Bad) > 0 {
-		if err := quarantine(fsys, dir, sr.Bad, events); err != nil {
+		if err := quarantine(fsys, dir, sr.Bad); err != nil {
 			return nil, err
 		}
 		stats.Quarantined = len(sr.Bad)
@@ -382,6 +308,5 @@ func Compact(fsys iofault.FS, dir string, events EventFunc) (*CompactStats, erro
 	if st, err := fsys.Stat(filepath.Join(dir, FileName)); err == nil {
 		stats.BytesAfter = st.Size()
 	}
-	emit(events, Event{Kind: EventCompact, Path: filepath.Join(dir, FileName), Records: stats.RecordsAfter})
 	return stats, nil
 }

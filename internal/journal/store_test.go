@@ -2,16 +2,14 @@ package journal
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
-	"syscall"
 	"testing"
 	"time"
 
 	"spear/internal/iofault"
+	"spear/internal/perf"
 )
 
 // corruptLine flips one bit in the journal's line number n (1-based),
@@ -168,8 +166,7 @@ func TestRepairQuarantinesAndHeals(t *testing.T) {
 	orig := corruptLine(t, dir, 4)
 	_ = orig
 
-	var events []Event
-	stats, err := Repair(nil, dir, func(e Event) { events = append(events, e) })
+	stats, err := Repair(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,17 +196,8 @@ func TestRepairQuarantinesAndHeals(t *testing.T) {
 		t.Errorf("records after repair = %d, want 3", rep.Records)
 	}
 
-	var kinds []EventKind
-	for _, e := range events {
-		kinds = append(kinds, e.Kind)
-	}
-	want := []EventKind{EventQuarantine, EventRepair}
-	if len(kinds) != len(want) || kinds[0] != want[0] || kinds[1] != want[1] {
-		t.Errorf("event kinds = %v, want %v", kinds, want)
-	}
-
 	// Repair on a healthy journal is a no-op.
-	stats2, err := Repair(nil, dir, nil)
+	stats2, err := Repair(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +225,7 @@ func TestRepairPreservesBytesVerbatim(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, FileName), []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Repair(nil, dir, nil); err != nil {
+	if _, err := Repair(nil, dir); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, FileName))
@@ -274,8 +262,7 @@ func TestCompactFoldsToLatestRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var events []Event
-	stats, err := Compact(nil, dir, func(e Event) { events = append(events, e) })
+	stats, err := Compact(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,9 +293,6 @@ func TestCompactFoldsToLatestRecords(t *testing.T) {
 	if rep.V1 != 0 || rep.V2 != 3 {
 		t.Errorf("after compact v1=%d v2=%d, want 0 and 3", rep.V1, rep.V2)
 	}
-	if len(events) != 1 || events[0].Kind != EventCompact {
-		t.Errorf("events = %v, want one compact event", events)
-	}
 
 	// Appending to the compacted journal keeps working.
 	writeJournal(t, dir, Record{Status: StatusDone, Key: "c", Result: []byte(`{"Cycles":5}`)})
@@ -335,7 +319,7 @@ func TestFsckMissingJournal(t *testing.T) {
 // TestWriterRetriesTransientCommitErrors pins the self-healing writer:
 // injected EIO/torn/short write failures are retried after truncating
 // back to the durable offset, appends eventually succeed, the journal
-// stays frame-intact, and commit-retry events fire.
+// stays frame-intact, and the retries are counted.
 func TestWriterRetriesTransientCommitErrors(t *testing.T) {
 	fa := iofault.NewFaulty(iofault.OS(), iofault.Plan{
 		Seed: 21,
@@ -346,20 +330,11 @@ func TestWriterRetriesTransientCommitErrors(t *testing.T) {
 		},
 	})
 	dir := t.TempDir()
-	var mu sync.Mutex
-	var events []Event
+	reg := perf.NewRegistry()
 	var w *Writer
 	var err error
 	for try := 0; try < 50 && w == nil; try++ {
-		w, err = OpenConfig(dir, false, Config{
-			FS:            fa,
-			CommitRetries: 25,
-			Events: func(e Event) {
-				mu.Lock()
-				events = append(events, e)
-				mu.Unlock()
-			},
-		})
+		w, err = OpenConfig(dir, false, Config{FS: fa, CommitRetries: 25, Perf: reg})
 	}
 	if w == nil {
 		t.Fatalf("open never succeeded: %v", err)
@@ -398,42 +373,28 @@ func TestWriterRetriesTransientCommitErrors(t *testing.T) {
 	if injected == 0 {
 		t.Fatal("plan injected no faults; test proves nothing")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) == 0 {
-		t.Error("no commit-retry events despite injected failures")
+	if reg.Counter("journal.commit_retries").Value() == 0 {
+		t.Error("journal.commit_retries = 0 despite injected failures")
 	}
-	for _, e := range events {
-		if e.Kind != EventCommitRetry && e.Kind != EventNospcBackoff {
-			t.Errorf("unexpected writer event kind %v", e.Kind)
-		}
+	if b := reg.Counter("journal.enospc_backoffs").Value(); b != 0 {
+		t.Errorf("journal.enospc_backoffs = %d with no ENOSPC in the plan", b)
 	}
 }
 
-// TestWriterBacksOffOnENOSPC pins the ENOSPC path: the writer emits
-// backoff events and survives once space "returns".
+// TestWriterBacksOffOnENOSPC pins the ENOSPC path: the writer counts its
+// backoffs and survives once space "returns".
 func TestWriterBacksOffOnENOSPC(t *testing.T) {
 	fa := iofault.NewFaulty(iofault.OS(), iofault.Plan{
 		Seed:  5,
 		Rates: map[iofault.Kind]float64{iofault.KindENOSPC: 0.4},
 	})
 	dir := t.TempDir()
-	var mu sync.Mutex
-	backoffs := 0
+	reg := perf.NewRegistry()
 	w, err := OpenConfig(dir, false, Config{
 		FS:            fa,
 		CommitRetries: 40,
 		NospcBackoff:  time.Microsecond,
-		Events: func(e Event) {
-			if e.Kind == EventNospcBackoff {
-				mu.Lock()
-				backoffs++
-				mu.Unlock()
-				if e.Err == nil || !errors.Is(e.Err, syscall.ENOSPC) {
-					t.Errorf("backoff event err = %v, want ENOSPC", e.Err)
-				}
-			}
-		},
+		Perf:          reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -444,10 +405,8 @@ func TestWriterBacksOffOnENOSPC(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if backoffs == 0 {
-		t.Error("0.4 ENOSPC rate produced no backoff events")
+	if reg.Counter("journal.enospc_backoffs").Value() == 0 {
+		t.Error("0.4 ENOSPC rate produced no counted backoffs")
 	}
 	rep, err := Fsck(nil, dir)
 	if err != nil {

@@ -65,7 +65,7 @@ func TestTortureCrashRepairLoad(t *testing.T) {
 			_ = w.Close() // stale handle; reaps the writer goroutine
 
 			// Healing on healthy storage must always succeed.
-			if _, err := Repair(nil, dir, nil); err != nil {
+			if _, err := Repair(nil, dir); err != nil {
 				t.Fatalf("Repair on crashed journal: %v", err)
 			}
 			st, err := Load(dir)
@@ -98,7 +98,7 @@ func TestTortureCrashRepairLoad(t *testing.T) {
 
 			// Compact must also survive whatever is left, and preserve the
 			// replayed state exactly.
-			if _, err := Compact(nil, dir, nil); err != nil {
+			if _, err := Compact(nil, dir); err != nil {
 				t.Fatalf("Compact after crash: %v", err)
 			}
 			st2, err := Load(dir)

@@ -27,19 +27,15 @@ const (
 	KindFault
 	KindSessionBegin
 	KindSessionEnd
-	// Storage-health kinds: degraded or damaged journal I/O surfaced by
-	// the harness (DESIGN.md §12). Cycle is 0 — these are host events, not
-	// pipeline events; Arg carries the retry attempt or record count.
-	KindIORetry
-	KindIOBackoff
-	KindQuarantine
-	KindIORepair
-	// KindSpan is a wall-clock timing rollup from the perf layer: Text
-	// names the span (e.g. a pipeline stage bucket), Arg carries the
-	// accumulated host nanoseconds for the reporting window. Emitted at
-	// each per-64K-cycle stage flush and once at end of run.
-	KindSpan
 )
+
+// KindSpan is a wall-clock timing rollup from the perf layer: Text names
+// the span (e.g. a pipeline stage bucket), Arg carries the accumulated
+// host nanoseconds for the reporting window. Emitted at each
+// per-64K-cycle stage flush and once at end of run. Values 12-15 belonged
+// to retired storage-health kinds; KindSpan keeps 16 so existing binary
+// captures still decode.
+const KindSpan Kind = 16
 
 var kindNames = [...]string{
 	KindFetch:        "fetch",
@@ -53,10 +49,6 @@ var kindNames = [...]string{
 	KindFault:        "fault",
 	KindSessionBegin: "session-begin",
 	KindSessionEnd:   "session-end",
-	KindIORetry:      "io-retry",
-	KindIOBackoff:    "io-backoff",
-	KindQuarantine:   "quarantine",
-	KindIORepair:     "io-repair",
 	KindSpan:         "span",
 }
 

@@ -277,10 +277,6 @@ func (t *TextWriter) WriteEvents(evs []Event) error {
 			_, err = fmt.Fprintf(t.w, "%8d  %s  %s\n", e.Cycle, e.Kind, e.Text)
 		case KindSessionBegin, KindSessionEnd:
 			_, err = fmt.Fprintf(t.w, "%8d  %s #%d dload=%d %s\n", e.Cycle, e.Kind, e.Arg, e.PC, e.Text)
-		case KindIORetry, KindIOBackoff:
-			_, err = fmt.Fprintf(t.w, "%8d  %s attempt=%d %s\n", e.Cycle, e.Kind, e.Arg, e.Text)
-		case KindQuarantine, KindIORepair:
-			_, err = fmt.Fprintf(t.w, "%8d  %s records=%d %s\n", e.Cycle, e.Kind, e.Arg, e.Text)
 		default:
 			_, err = fmt.Fprintf(t.w, "%8d  %s pc=%d seq=%d arg=%d %s\n", e.Cycle, e.Kind, e.PC, e.Seq, e.Arg, e.Text)
 		}

@@ -162,9 +162,6 @@ func startCluster(t *testing.T, engines []sched.Engine) *cluster {
 	rt, err := New(Config{
 		Backends:       urls,
 		HealthInterval: 50 * time.Millisecond,
-		Retries:        1,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,17 +10,19 @@
 // report, and a shard restarting over its data dir answers from its
 // completed-report store without re-executing anything.
 //
-// Failure handling is layered:
+// Each failure is reported once, never retried:
 //
-//   - per-attempt timeouts bound how long one shard can hang;
-//   - connection failures retry with exponential backoff + jitter,
-//     then fail over to the next ring successor;
+//   - every candidate shard gets one attempt, bounded by a per-attempt
+//     timeout; a submission carries its request key as Idempotency-Key,
+//     so net/http itself replays it when a stale keep-alive connection
+//     drops it;
 //   - one health view per shard decides whether routing may use it: an
 //     active GET /readyz poll writes it every health interval, and a
 //     proxied exchange that fails while its client is still waiting
-//     marks the shard down until its next good probe. Down shards are
-//     skipped without a connection attempt, by submissions, job reads
-//     and the progress and job-list fan-outs alike;
+//     marks the shard down until its next good probe, and the request
+//     fails over to the next ring successor. Down shards are skipped
+//     without a connection attempt, by submissions, job reads and the
+//     progress and job-list fan-outs alike;
 //   - when every candidate is down or draining the submission is shed
 //     loudly: 503 with an aggregated Retry-After covering the soonest
 //     moment any candidate might accept work — never a silent drop.
@@ -33,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net/http"
 	"sort"
 	"strconv"
@@ -56,19 +57,8 @@ type Config struct {
 	// (default 15s). SSE streams are exempt: they are bounded by the
 	// client's own connection instead.
 	AttemptTimeout time.Duration
-	// Retries is how many times a connection failure to one backend is
-	// retried (with backoff) before failing over (default 2).
-	Retries int
-	// BackoffBase/BackoffMax shape the exponential retry backoff
-	// (defaults 50ms / 2s). Each attempt sleeps base<<attempt, capped,
-	// with ±50% jitter so a restarting cluster is not hit in lockstep.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Transport overrides the proxy transport (nil = default).
 	Transport http.RoundTripper
-	// Rand supplies jitter in [0,1) (nil = math/rand; tests inject a
-	// deterministic source).
-	Rand func() float64
 	// Perf receives router counters (nil = dropped).
 	Perf *perf.Registry
 	// Log receives one line per failover and health change.
@@ -89,38 +79,12 @@ func (c Config) attemptTimeout() time.Duration {
 	return c.AttemptTimeout
 }
 
-func (c Config) retries() int {
-	if c.Retries < 0 {
-		return 0
-	}
-	if c.Retries == 0 {
-		return 2
-	}
-	return c.Retries
-}
-
-func (c Config) backoffBase() time.Duration {
-	if c.BackoffBase <= 0 {
-		return 50 * time.Millisecond
-	}
-	return c.BackoffBase
-}
-
-func (c Config) backoffMax() time.Duration {
-	if c.BackoffMax <= 0 {
-		return 2 * time.Second
-	}
-	return c.BackoffMax
-}
-
 // Router is the HTTP handler. Create with New, stop with Close.
 type Router struct {
 	cfg    Config
 	ring   *ring
 	client *http.Client
 	mux    *http.ServeMux
-	randMu sync.Mutex
-	randF  func() float64
 
 	mu     sync.Mutex
 	health map[string]sched.ShardHealth
@@ -155,10 +119,6 @@ func New(cfg Config) (*Router, error) {
 		client: &http.Client{Transport: cfg.Transport},
 		health: make(map[string]sched.ShardHealth, len(backends)),
 		stop:   make(chan struct{}),
-		randF:  cfg.Rand,
-	}
-	if rt.randF == nil {
-		rt.randF = rand.Float64
 	}
 	rt.cfg.Backends = backends
 	for _, b := range backends {
@@ -193,23 +153,6 @@ func (rt *Router) logf(format string, args ...any) {
 	if rt.cfg.Log != nil {
 		fmt.Fprintf(rt.cfg.Log, format+"\n", args...)
 	}
-}
-
-func (rt *Router) jitter() float64 {
-	rt.randMu.Lock()
-	defer rt.randMu.Unlock()
-	return rt.randF()
-}
-
-// backoff returns the sleep before retry `attempt` (0-based):
-// base<<attempt capped at max, jittered to [50%, 100%] of that.
-func (rt *Router) backoff(attempt int) time.Duration {
-	d := rt.cfg.backoffBase() << uint(attempt)
-	if max := rt.cfg.backoffMax(); d > max || d <= 0 {
-		d = max
-	}
-	half := d / 2
-	return half + time.Duration(float64(half)*rt.jitter())
 }
 
 // ---- health -------------------------------------------------------------
@@ -322,64 +265,52 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // attemptResult is the outcome of trying one backend.
 type attemptResult struct {
 	resp *http.Response // non-nil when the backend answered
-	err  error          // transport failure (after retries)
+	err  error          // transport failure
 }
 
-// tryBackend performs one proxied exchange with retry+backoff on
-// transport failures. The caller owns resp.Body. An exchange that still
-// fails after its retries while ctx is live marks the backend down; one
+// tryBackend performs one proxied exchange; the caller owns resp.Body.
+// A non-empty idemKey is sent as Idempotency-Key, which makes net/http
+// replay the request when a reused keep-alive connection drops it. An
+// exchange that fails while ctx is live marks the backend down; one
 // abandoned by its own client says nothing about the shard.
-func (rt *Router) tryBackend(ctx context.Context, addr, method, path string, body []byte, stream bool) attemptResult {
-	var lastErr error
-	for attempt := 0; attempt <= rt.cfg.retries(); attempt++ {
-		if attempt > 0 {
-			rt.cfg.Perf.Counter("router.retries").Add(1)
-			select {
-			case <-time.After(rt.backoff(attempt - 1)):
-			case <-ctx.Done():
-				return attemptResult{err: ctx.Err()}
-			}
-		}
-		actx := ctx
-		var cancel context.CancelFunc = func() {}
-		if !stream {
-			actx, cancel = context.WithTimeout(ctx, rt.cfg.attemptTimeout())
-		}
-		req, err := http.NewRequestWithContext(actx, method, addr+path, bytes.NewReader(body))
-		if err != nil {
-			cancel()
-			return attemptResult{err: err}
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := rt.client.Do(req)
-		if err == nil && stream {
-			// Streaming: the body stays live; it is bounded by ctx (the
-			// client's own connection), so there is no attempt timeout
-			// to cancel.
-			_ = cancel
-			return attemptResult{resp: resp}
-		}
-		if err == nil {
-			// Detach the response body from the attempt context: read
-			// it fully now so cancel() cannot race the caller's copy.
-			var data []byte
-			data, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-			resp.Body.Close()
-			resp.Body = io.NopCloser(bytes.NewReader(data))
-		}
-		cancel()
-		if err == nil {
-			return attemptResult{resp: resp}
-		}
-		if ctx.Err() != nil {
-			return attemptResult{err: ctx.Err()}
-		}
-		lastErr = err
+func (rt *Router) tryBackend(ctx context.Context, addr, method, path string, body []byte, idemKey string, stream bool) attemptResult {
+	actx, cancel := ctx, context.CancelFunc(func() {})
+	if !stream {
+		actx, cancel = context.WithTimeout(ctx, rt.cfg.attemptTimeout())
 	}
-	rt.setHealth(addr, sched.ShardDown, lastErr.Error())
-	return attemptResult{err: lastErr}
+	defer cancel()
+	req, err := http.NewRequestWithContext(actx, method, addr+path, bytes.NewReader(body))
+	if err != nil {
+		return attemptResult{err: err}
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if idemKey != "" {
+		req.Header.Set("Idempotency-Key", idemKey)
+	}
+	resp, err := rt.client.Do(req)
+	if err == nil && stream {
+		// Streaming: the body stays live, bounded by ctx (the client's
+		// own connection) rather than an attempt timeout.
+		return attemptResult{resp: resp}
+	}
+	if err == nil {
+		// Detach the response body from the attempt context: read it
+		// fully now so cancel() cannot race the caller's copy.
+		var data []byte
+		data, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+		resp.Body.Close()
+		resp.Body = io.NopCloser(bytes.NewReader(data))
+	}
+	if err == nil {
+		return attemptResult{resp: resp}
+	}
+	if ctx.Err() != nil {
+		return attemptResult{err: ctx.Err()}
+	}
+	rt.setHealth(addr, sched.ShardDown, err.Error())
+	return attemptResult{err: err}
 }
 
 // relay copies a backend response to the client, flushing as it goes so
@@ -472,9 +403,11 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			sh.add(reason, rt.cfg.healthInterval())
 			continue
 		}
-		res := rt.tryBackend(r.Context(), addr, http.MethodPost, "/v1/sweeps", body, false)
+		res := rt.tryBackend(r.Context(), addr, http.MethodPost, "/v1/sweeps", body, key, false)
 		if res.err != nil {
-			sh.add(fmt.Sprintf("%s: %v", addr, res.err), rt.cfg.backoffMax())
+			// The shard is down now; its next probe, one health
+			// interval away, is the soonest it can be tried again.
+			sh.add(fmt.Sprintf("%s: %v", addr, res.err), rt.cfg.healthInterval())
 			continue
 		}
 		if res.resp.StatusCode == http.StatusServiceUnavailable {
@@ -505,7 +438,7 @@ func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
 			sh.add(reason, rt.cfg.healthInterval())
 			continue
 		}
-		res := rt.tryBackend(r.Context(), addr, http.MethodGet, r.URL.RequestURI(), nil, stream)
+		res := rt.tryBackend(r.Context(), addr, http.MethodGet, r.URL.RequestURI(), nil, "", stream)
 		if res.err != nil {
 			sh.add(fmt.Sprintf("%s: %v", addr, res.err), 0)
 			continue
@@ -546,7 +479,7 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
-			res := rt.tryBackend(r.Context(), addr, http.MethodGet, "/v1/jobs", nil, false)
+			res := rt.tryBackend(r.Context(), addr, http.MethodGet, "/v1/jobs", nil, "", false)
 			if res.err != nil || res.resp.StatusCode != http.StatusOK {
 				if res.resp != nil {
 					res.resp.Body.Close()
@@ -592,7 +525,7 @@ func (rt *Router) Progress(ctx context.Context) sched.Progress {
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
-			res := rt.tryBackend(ctx, addr, http.MethodGet, "/v1/progress", nil, false)
+			res := rt.tryBackend(ctx, addr, http.MethodGet, "/v1/progress", nil, "", false)
 			if res.err != nil {
 				fail(addr, res.err.Error())
 				return

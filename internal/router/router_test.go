@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -122,10 +124,6 @@ func testRouter(t *testing.T, cfg Config) *Router {
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = 50 * time.Millisecond
 	}
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = time.Millisecond
-		cfg.BackoffMax = 2 * time.Millisecond
-	}
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +156,7 @@ func TestNewNoBackends(t *testing.T) {
 func TestSubmitFailoverToSuccessor(t *testing.T) {
 	a, b, c := newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)
 	all := []*fakeBackend{a, b, c}
-	rt := testRouter(t, Config{Backends: []string{a.srv.URL, b.srv.URL, c.srv.URL}, Retries: 1})
+	rt := testRouter(t, Config{Backends: []string{a.srv.URL, b.srv.URL, c.srv.URL}})
 
 	var req sched.Request
 	if err := json.Unmarshal([]byte(tinyBody), &req); err != nil {
@@ -208,31 +206,46 @@ func TestSubmitDrainingFailsOver(t *testing.T) {
 
 // TestShedAllAggregatesRetryAfter is the never-silent contract: every
 // candidate down or draining yields one 503 naming each backend, with a
-// Retry-After covering the worst candidate.
+// Retry-After covering the worst candidate. A draining shard brings its
+// own estimate; a shard whose exchange failed brings the health
+// interval, the soonest its next probe can restore it.
 func TestShedAllAggregatesRetryAfter(t *testing.T) {
 	a, b := newFakeBackend(t), newFakeBackend(t)
 	a.draining.Store(true)
 	b.draining.Store(true)
-	rt := testRouter(t, Config{Backends: []string{a.srv.URL, b.srv.URL}})
+	dead := httptest.NewServer(nil)
+	dead.Close()
 
-	w := postSweep(t, rt, tinyBody)
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("all-draining submit = %d, want 503", w.Code)
-	}
-	if ra := w.Header().Get("Retry-After"); ra != "7" {
-		t.Errorf("Retry-After = %q, want aggregated 7", ra)
-	}
-	var eb errorBody
-	if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil {
-		t.Fatal(err)
-	}
-	for _, fb := range []*fakeBackend{a, b} {
-		if !strings.Contains(eb.Error, fb.srv.URL) {
-			t.Errorf("shed error does not name %s: %q", fb.srv.URL, eb.Error)
-		}
-	}
-	if eb.RetryAfterMS != 7000 {
-		t.Errorf("retry_after_ms = %d, want 7000", eb.RetryAfterMS)
+	for _, tc := range []struct {
+		name     string
+		interval time.Duration
+		want     int // seconds
+	}{
+		{"draining estimate dominates", 50 * time.Millisecond, 7},
+		{"health interval dominates", 9 * time.Second, 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := testRouter(t, Config{Backends: []string{a.srv.URL, b.srv.URL, dead.URL}, HealthInterval: tc.interval})
+			w := postSweep(t, rt, tinyBody)
+			if w.Code != http.StatusServiceUnavailable {
+				t.Fatalf("all-draining-or-dead submit = %d, want 503", w.Code)
+			}
+			if ra := w.Header().Get("Retry-After"); ra != strconv.Itoa(tc.want) {
+				t.Errorf("Retry-After = %q, want aggregated %d", ra, tc.want)
+			}
+			var eb errorBody
+			if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil {
+				t.Fatal(err)
+			}
+			for _, addr := range []string{a.srv.URL, b.srv.URL, dead.URL} {
+				if !strings.Contains(eb.Error, addr) {
+					t.Errorf("shed error does not name %s: %q", addr, eb.Error)
+				}
+			}
+			if eb.RetryAfterMS != int64(tc.want)*1000 {
+				t.Errorf("retry_after_ms = %d, want %d", eb.RetryAfterMS, tc.want*1000)
+			}
+		})
 	}
 }
 
@@ -325,7 +338,7 @@ func TestClusterProgressMerge(t *testing.T) {
 	down := httptest.NewServer(nil)
 	down.Close() // immediately dead
 
-	rt := testRouter(t, Config{Backends: []string{s1.URL, s2.URL, down.URL}, Retries: 1})
+	rt := testRouter(t, Config{Backends: []string{s1.URL, s2.URL, down.URL}})
 	req := httptest.NewRequest(http.MethodGet, "/v1/progress", nil)
 	w := httptest.NewRecorder()
 	rt.ServeHTTP(w, req)
@@ -550,8 +563,7 @@ func TestClientCancelKeepsShardLive(t *testing.T) {
 	backend := httptest.NewServer(mux)
 	defer backend.Close()
 
-	// No retries: each hang-up lands on the exchange's last attempt.
-	rt := testRouter(t, Config{Backends: []string{backend.URL}, HealthInterval: time.Hour, Retries: -1})
+	rt := testRouter(t, Config{Backends: []string{backend.URL}, HealthInterval: time.Hour})
 	readyz := func() int {
 		w := httptest.NewRecorder()
 		rt.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/readyz", nil))
@@ -574,5 +586,124 @@ func TestClientCancelKeepsShardLive(t *testing.T) {
 	}
 	if code := readyz(); code != http.StatusOK {
 		t.Errorf("proxy readyz after cancelled reads = %d, want 200", code)
+	}
+}
+
+// TestHungOwnerCostsOneAttempt pins the one-attempt rule: an owner that
+// accepts the submission but never answers costs exactly one attempt
+// timeout, is marked down, and the submission lands on the successor.
+func TestHungOwnerCostsOneAttempt(t *testing.T) {
+	var hungPosts atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	})
+	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		hungPosts.Add(1)
+		io.Copy(io.Discard, r.Body) // lets the server notice the hang-up
+		<-r.Context().Done()
+	})
+	hung := httptest.NewServer(mux)
+	defer hung.Close()
+	live := newFakeBackend(t)
+
+	// The poll never ticks on its own, so only the exchange can mark
+	// the owner down.
+	rt := testRouter(t, Config{
+		Backends:       []string{hung.URL, live.srv.URL},
+		HealthInterval: time.Hour,
+		AttemptTimeout: 50 * time.Millisecond,
+	})
+	waitReady(t, rt)
+
+	// Pick a body whose ring owner is the hung backend.
+	var body string
+	for seed := 1; ; seed++ {
+		body = fmt.Sprintf(`{"kernels":["alpha"],"configs":["baseline"],"seed":%d}`, seed)
+		var req sched.Request
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		if rt.ring.Owner(req.Key()) == hung.URL {
+			break
+		}
+	}
+
+	if w := postSweep(t, rt, body); w.Code != http.StatusAccepted {
+		t.Fatalf("submit with hung owner = %d: %s", w.Code, w.Body)
+	}
+	if n := hungPosts.Load(); n != 1 {
+		t.Errorf("hung owner saw %d POSTs, want exactly 1", n)
+	}
+	if live.submits.Load() != 1 {
+		t.Errorf("successor saw %d submissions, want 1", live.submits.Load())
+	}
+	if h := shardState(rt, hung.URL); h.State != sched.ShardDown {
+		t.Errorf("hung owner after its attempt timed out = %+v, want down", h)
+	}
+}
+
+// TestStaleKeepAliveSubmitReplays pins why a submission needs no retry
+// loop: a backend that reads a POST on a reused keep-alive connection
+// and hangs up without answering is the classic stale-connection race,
+// and net/http replays the POST on a fresh connection because it carries
+// an Idempotency-Key. The shard answers, so it stays live.
+func TestStaleKeepAliveSubmitReplays(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var accepted, hangups atomic.Int64
+	serve := func(c net.Conn) {
+		defer c.Close()
+		br := bufio.NewReader(c)
+		servedPost := false
+		for {
+			req, err := http.ReadRequest(br)
+			if err != nil {
+				return
+			}
+			io.Copy(io.Discard, req.Body)
+			if req.Method != http.MethodPost {
+				fmt.Fprint(c, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n{}")
+				continue
+			}
+			if servedPost {
+				hangups.Add(1)
+				return // the second POST on this connection is read, then dropped
+			}
+			servedPost = true
+			accepted.Add(1)
+			const body = `{"id":"job"}`
+			fmt.Fprintf(c, "HTTP/1.1 202 Accepted\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+		}
+	}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serve(c)
+		}
+	}()
+
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	addr := "http://" + ln.Addr().String()
+	rt := testRouter(t, Config{Backends: []string{addr}, HealthInterval: time.Hour, Transport: tr})
+	waitReady(t, rt)
+
+	for i := 0; i < 2; i++ {
+		if w := postSweep(t, rt, tinyBody); w.Code != http.StatusAccepted {
+			t.Fatalf("submit %d = %d, want 202: %s", i, w.Code, w.Body)
+		}
+	}
+	if hangups.Load() != 1 || accepted.Load() != 2 {
+		t.Fatalf("backend hung up %d times and accepted %d POSTs, want 1 and 2", hangups.Load(), accepted.Load())
+	}
+	if h := shardState(rt, addr); h.State != sched.ShardReady {
+		t.Errorf("shard after a replayed submission = %+v, want ready", h)
 	}
 }

@@ -3,7 +3,9 @@ package sched
 import (
 	"context"
 	"errors"
-	"io"
+	"fmt"
+
+	"strings"
 
 	"spear/internal/harness"
 	"spear/internal/iofault"
@@ -21,10 +23,9 @@ type JournalSpec struct {
 	// FS is the filesystem the journal lives on (nil = the real one);
 	// torture tests inject an iofault.Faulty here.
 	FS iofault.FS
-	// Perf receives the journal's I/O metrics (commit/fsync wall time).
+	// Perf receives the journal's I/O metrics (commit/fsync wall time,
+	// commit retries, ENOSPC backoffs).
 	Perf *perf.Registry
-	// Log receives one line per storage-health event.
-	Log io.Writer
 	// OnOpen, when non-nil, observes the journal's replay stats after it
 	// opens and before the sweep runs (spearbench prints its resume
 	// banner here).
@@ -44,6 +45,23 @@ type JournalStats struct {
 	Quarantined int
 }
 
+// String renders the non-zero outcomes for a log line ("" when the
+// journal contributed nothing): replayed runs, quarantined records and a
+// trimmed torn tail.
+func (js JournalStats) String() string {
+	var parts []string
+	if js.Replayed > 0 {
+		parts = append(parts, fmt.Sprintf("%d replayed", js.Replayed))
+	}
+	if js.Quarantined > 0 {
+		parts = append(parts, fmt.Sprintf("%d quarantined", js.Quarantined))
+	}
+	if js.Torn {
+		parts = append(parts, "torn tail trimmed")
+	}
+	return strings.Join(parts, ", ")
+}
+
 // Exec is the one code path both spearbench and speard execute sweeps
 // through: open (or resume) the journal per spec, run the engine, close
 // the journal. The report is returned even when closing the journal
@@ -55,7 +73,6 @@ func Exec(ctx context.Context, e Engine, req Request, spec JournalSpec) (*harnes
 		var err error
 		j, err = harness.OpenSweepJournalConfig(spec.Dir, spec.Resume, harness.SweepJournalConfig{
 			FS:   spec.FS,
-			Log:  spec.Log,
 			Perf: spec.Perf,
 		})
 		if err != nil {

@@ -161,7 +161,8 @@ type Config struct {
 	// deliberately NOT handed to the engine: per-run timing in reports
 	// would break byte-identical convergence.
 	Perf *perf.Registry
-	// Log receives one line per job transition and storage-health event.
+	// Log receives one line per job transition; a job's terminal line
+	// names what its journal replayed, quarantined or trimmed.
 	Log io.Writer
 }
 
@@ -457,7 +458,7 @@ func (s *Scheduler) execute(job *Job) {
 		defer cancel()
 	}
 
-	spec := JournalSpec{Perf: s.cfg.Perf, Log: s.cfg.Log}
+	spec := JournalSpec{Perf: s.cfg.Perf}
 	if dir := s.JournalDir(job.Req); dir != "" {
 		fsys := s.cfg.FS
 		if fsys == nil {
@@ -533,7 +534,11 @@ func (s *Scheduler) execute(job *Job) {
 	case JobInterrupted:
 		s.cfg.Perf.Counter("sched.jobs.interrupted").Add(1)
 	}
-	s.logf("sched: job %s %s (%s)", shortID(job.ID), state, dur.Round(time.Millisecond))
+	detail := dur.Round(time.Millisecond).String()
+	if js := stats.String(); js != "" {
+		detail += "; journal: " + js
+	}
+	s.logf("sched: job %s %s (%s)", shortID(job.ID), state, detail)
 }
 
 // shedQueueLocked evicts every queued job with the typed shed reason.

@@ -465,6 +465,85 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a Config.Log shared by the worker goroutine and the
+// test.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestResumeLogsQuarantineOnce pins how a damaged journal is reported: a
+// resumed job whose journal held one corrupt record logs exactly one
+// line naming the quarantined count — its terminal line — and still
+// converges to the clean report.
+func TestResumeLogsQuarantineOnce(t *testing.T) {
+	req := tinyRequest()
+	clean, _, err := Exec(context.Background(), staticEngine(t, tinyOptions(), tinyLoop), req, JournalSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dataDir := t.TempDir()
+	s := New(staticEngine(t, tinyOptions(), tinyLoop), Config{Workers: 1, DataDir: dataDir})
+	dir := s.JournalDir(req)
+	if _, _, err := Exec(context.Background(), staticEngine(t, tinyOptions(), tinyLoop), req, JournalSpec{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	// Flip one bit in the first run's done record (line 3: header,
+	// started, done, ...).
+	path := filepath.Join(dir, journal.FileName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(data, []byte("\n"))
+	lines[2][len(lines[2])/2] ^= 0x01
+	if err := os.WriteFile(path, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	var log lockedBuffer
+	s2 := New(staticEngine(t, tinyOptions(), tinyLoop), Config{Workers: 1, DataDir: dataDir, Log: &log})
+	defer s2.Close()
+	job, _, err := s2.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := waitTerminal(t, job); snap.State != JobDone {
+		t.Fatalf("resumed job state = %s (%s), want done", snap.State, snap.Error)
+	}
+	rep, _, err := job.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reportBytes(t, rep), reportBytes(t, clean)) {
+		t.Error("resumed report differs from the clean reference")
+	}
+
+	var hits []string
+	for _, line := range strings.Split(log.String(), "\n") {
+		if strings.Contains(line, "quarantined") {
+			hits = append(hits, line)
+		}
+	}
+	if len(hits) != 1 || !strings.Contains(hits[0], " done (") || !strings.Contains(hits[0], "1 quarantined") {
+		t.Errorf("quarantine log lines = %q, want one terminal line naming 1 quarantined; log:\n%s", hits, log.String())
+	}
+}
+
 // TestResubmitInterruptedReenqueues asserts a terminal-but-unfinished
 // job (interrupted) is re-enqueued by a later identical submission on
 // the SAME scheduler — recovery does not require a restart.

@@ -27,10 +27,8 @@
 // re-verifies the record on disk at serve time, so corruption that
 // lands between scans is caught too.
 //
-// The cache is bounded two ways: TTL expiry deletes whole entry
-// directories once their report is older than Config.TTL, and Compact
-// folds each indexed journal down to its live records (the run history
-// behind a stored report is superseded by it).
+// Entries never expire: a report is a pure function of its request key,
+// so a stored one can never go stale.
 package store
 
 import (
@@ -40,7 +38,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -63,8 +60,6 @@ var (
 	// ErrDamaged: a report record exists but failed its integrity check;
 	// it was quarantined, not served. The caller re-executes.
 	ErrDamaged = errors.New("store: report record damaged; quarantined, not served")
-	// ErrExpired: the stored report outlived the TTL and was deleted.
-	ErrExpired = errors.New("store: stored report expired")
 )
 
 // Config tunes an Index. Dir is required; everything else has working
@@ -74,16 +69,10 @@ type Config struct {
 	Dir string
 	// FS is the filesystem the journals live on (nil = the real one).
 	FS iofault.FS
-	// TTL bounds how long a completed report is served (0 = forever). An
-	// entry expires once now - completed >= TTL, checked at Open, at Get,
-	// and by explicit Expire sweeps.
-	TTL time.Duration
-	// Now is the clock (nil = time.Now); tests pin TTL boundaries with it.
-	Now func() time.Time
 	// Perf receives index metrics: store.hits, store.misses, store.puts,
-	// store.expired, store.quarantined, store.entries.
+	// store.quarantined, store.entries.
 	Perf *perf.Registry
-	// Log receives one line per index health event (quarantine, expiry).
+	// Log receives one line per quarantine or dropped entry.
 	Log io.Writer
 }
 
@@ -106,18 +95,17 @@ type Entry struct {
 type Index struct {
 	cfg Config
 	fs  iofault.FS
-	now func() time.Time
 
 	mu      sync.Mutex
 	entries map[string]Entry
 
-	cHits, cMisses, cPuts, cExpired, cQuarantined *perf.Counter
-	gEntries                                      *perf.Gauge
+	cHits, cMisses, cPuts, cQuarantined *perf.Counter
+	gEntries                            *perf.Gauge
 }
 
 // Open scans cfg.Dir for <key>.journal directories, indexes every intact
-// report record, quarantines damaged ones, and expires entries past the
-// TTL. A missing data dir yields an empty, usable index.
+// report record, and quarantines damaged ones. A missing data dir
+// yields an empty, usable index.
 func Open(cfg Config) (*Index, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("store: Config.Dir is required")
@@ -125,19 +113,14 @@ func Open(cfg Config) (*Index, error) {
 	ix := &Index{
 		cfg:     cfg,
 		fs:      cfg.FS,
-		now:     cfg.Now,
 		entries: map[string]Entry{},
 	}
 	if ix.fs == nil {
 		ix.fs = iofault.OS()
 	}
-	if ix.now == nil {
-		ix.now = time.Now
-	}
 	ix.cHits = cfg.Perf.Counter("store.hits")
 	ix.cMisses = cfg.Perf.Counter("store.misses")
 	ix.cPuts = cfg.Perf.Counter("store.puts")
-	ix.cExpired = cfg.Perf.Counter("store.expired")
 	ix.cQuarantined = cfg.Perf.Counter("store.quarantined")
 	ix.gEntries = cfg.Perf.Gauge("store.entries")
 
@@ -166,7 +149,6 @@ func Open(cfg Config) (*Index, error) {
 			Bytes:     len(payload),
 		}
 	}
-	ix.Expire(ix.now())
 	ix.gEntries.Set(float64(len(ix.entries)))
 	return ix, nil
 }
@@ -181,12 +163,6 @@ func (ix *Index) logf(format string, args ...any) {
 	}
 }
 
-// expired reports whether an entry is past the TTL at now. The boundary
-// is inclusive: a report exactly TTL old is expired.
-func (ix *Index) expired(e Entry, now time.Time) bool {
-	return ix.cfg.TTL > 0 && !e.Completed.Add(ix.cfg.TTL).After(now)
-}
-
 // scanDir loads key's journal leniently, self-heals damage (corrupt
 // records — including a damaged report record — move to the quarantine
 // sidecar), and returns the intact report payload. ErrNotFound when the
@@ -194,16 +170,13 @@ func (ix *Index) expired(e Entry, now time.Time) bool {
 // quarantined and no intact report survived them.
 func (ix *Index) scanDir(key string) ([]byte, journal.Record, error) {
 	dir := ix.dir(key)
-	repair, err := journal.Repair(ix.fs, dir, func(e journal.Event) {
-		if e.Kind == journal.EventQuarantine {
-			ix.logf("store: %s", e)
-		}
-	})
+	repair, err := journal.Repair(ix.fs, dir)
 	if err != nil {
 		return nil, journal.Record{}, fmt.Errorf("%w: %v", ErrNotFound, err)
 	}
 	if repair.Quarantined > 0 {
 		ix.cQuarantined.Add(uint64(repair.Quarantined))
+		ix.logf("store: %s: %d corrupt record(s) quarantined to %s", shortKey(key), repair.Quarantined, journal.QuarantineName)
 	}
 	st, err := journal.LoadFS(ix.fs, dir)
 	if err != nil {
@@ -245,8 +218,7 @@ func decodeReport(rec journal.Record) ([]byte, error) {
 // Get returns the stored report bytes for key, re-verifying the record
 // on disk (the journal's CRC framing catches damage that landed since
 // the last scan). On damage the record is quarantined and Get reports
-// ErrDamaged; on TTL expiry the entry is deleted and Get reports
-// ErrExpired. The bytes are exactly what Put stored — the report a
+// ErrDamaged. The bytes are exactly what Put stored — the report a
 // cache hit serves is byte-identical to the one the sweep produced.
 func (ix *Index) Get(key string) ([]byte, Entry, error) {
 	ix.mu.Lock()
@@ -255,11 +227,6 @@ func (ix *Index) Get(key string) ([]byte, Entry, error) {
 	if !ok {
 		ix.cMisses.Add(1)
 		return nil, Entry{}, ErrNotFound
-	}
-	if ix.expired(e, ix.now()) {
-		ix.expireLocked(e)
-		ix.cMisses.Add(1)
-		return nil, Entry{}, ErrExpired
 	}
 	payload, _, err := ix.scanDir(key)
 	if err != nil {
@@ -277,14 +244,14 @@ func (ix *Index) Get(key string) ([]byte, Entry, error) {
 
 // Put durably stores a completed report for key: one fsync'd,
 // CRC-framed record appended to the request's own journal directory
-// (created if the job ran un-journaled). completed stamps the entry for
-// TTL purposes; the zero time means now.
+// (created if the job ran un-journaled). completed stamps the entry;
+// the zero time means now.
 func (ix *Index) Put(key string, report []byte, completed time.Time) error {
 	if len(report) == 0 {
 		return errors.New("store: refusing to store an empty report")
 	}
 	if completed.IsZero() {
-		completed = ix.now()
+		completed = time.Now()
 	}
 	encoded, err := encodeReport(report)
 	if err != nil {
@@ -315,87 +282,11 @@ func (ix *Index) Put(key string, report []byte, completed time.Time) error {
 	return nil
 }
 
-// expireLocked deletes one entry and its directory. Journal and sidecar
-// go through the FS abstraction (so fault models stay coherent); the
-// then-empty directory is removed best-effort.
-func (ix *Index) expireLocked(e Entry) {
-	for _, name := range []string{journal.FileName, journal.QuarantineName} {
-		if err := ix.fs.Remove(filepath.Join(e.Dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			ix.logf("store: expiring %s: %v", shortKey(e.Key), err)
-		}
-	}
-	_ = os.RemoveAll(e.Dir)
-	delete(ix.entries, e.Key)
-	ix.gEntries.Set(float64(len(ix.entries)))
-	ix.cExpired.Add(1)
-	ix.logf("store: expired %s (completed %s)", shortKey(e.Key), e.Completed.Format(time.RFC3339))
-}
-
-// Expire deletes every entry whose report is TTL-old at now and returns
-// how many were removed. A zero TTL never expires anything.
-func (ix *Index) Expire(now time.Time) int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	n := 0
-	for _, e := range ix.entries {
-		if ix.expired(e, now) {
-			ix.expireLocked(e)
-			n++
-		}
-	}
-	return n
-}
-
-// Compact folds every indexed journal down to each key's latest record,
-// bounding the data dir: a stored report supersedes the per-run history
-// beneath it. Directories without a stored report (live or resumable
-// jobs) are never touched. Returns the number of directories compacted.
-func (ix *Index) Compact() (int, error) {
-	ix.mu.Lock()
-	entries := make([]Entry, 0, len(ix.entries))
-	for _, e := range ix.entries {
-		entries = append(entries, e)
-	}
-	ix.mu.Unlock()
-	n := 0
-	var firstErr error
-	for _, e := range entries {
-		if _, err := journal.Compact(ix.fs, e.Dir, nil); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		n++
-	}
-	return n, firstErr
-}
-
 // Len is the number of indexed reports.
 func (ix *Index) Len() int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	return len(ix.entries)
-}
-
-// Keys lists the indexed request keys, sorted.
-func (ix *Index) Keys() []string {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	keys := make([]string, 0, len(ix.entries))
-	for k := range ix.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Lookup returns an entry's metadata without touching disk.
-func (ix *Index) Lookup(key string) (Entry, bool) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	e, ok := ix.entries[key]
-	return e, ok
 }
 
 func shortKey(key string) string {

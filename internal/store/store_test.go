@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -119,9 +120,16 @@ func TestCorruptReportQuarantinedNotServed(t *testing.T) {
 		corruptReportRecord(t, dir, "abcd")
 		appendRunRecord(t, dir, "abcd")
 
-		ix2 := mustOpen(t, Config{Dir: dir, Perf: reg})
+		var log bytes.Buffer
+		ix2 := mustOpen(t, Config{Dir: dir, Perf: reg, Log: &log})
+		if got := reg.Counter("store.quarantined").Value(); got != 1 {
+			t.Errorf("store.quarantined = %d, want 1", got)
+		}
+		if !strings.Contains(log.String(), "abcd: 1 corrupt record(s) quarantined") {
+			t.Errorf("log %q does not report the quarantine", log.String())
+		}
 		if ix2.Len() != 0 {
-			t.Fatalf("corrupt report indexed: %v", ix2.Keys())
+			t.Fatalf("corrupt report indexed: %d entries", ix2.Len())
 		}
 		if _, _, err := ix2.Get("abcd"); err == nil {
 			t.Fatal("corrupt report served")
@@ -161,7 +169,7 @@ func TestCorruptReportQuarantinedNotServed(t *testing.T) {
 		corruptReportRecord(t, dir, "abcd") // report record is the final line
 		ix2 := mustOpen(t, Config{Dir: dir})
 		if ix2.Len() != 0 {
-			t.Fatalf("torn-tail report indexed: %v", ix2.Keys())
+			t.Fatalf("torn-tail report indexed: %d entries", ix2.Len())
 		}
 		if _, _, err := ix2.Get("abcd"); err == nil {
 			t.Fatal("torn-tail report served")
@@ -169,130 +177,8 @@ func TestCorruptReportQuarantinedNotServed(t *testing.T) {
 	})
 }
 
-// TestTTLBoundaries pins the expiry edge exactly: a report strictly
-// younger than TTL is served; one exactly TTL old is expired (inclusive
-// boundary), and its directory is deleted.
-func TestTTLBoundaries(t *testing.T) {
-	dir := t.TempDir()
-	now := time.Unix(1_000_000, 0)
-	clock := func() time.Time { return now }
-	ix := mustOpen(t, Config{Dir: dir, TTL: time.Hour, Now: clock})
-
-	if err := ix.Put("young", testReport("a"), now.Add(-time.Hour+time.Nanosecond)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Put("exact", testReport("b"), now.Add(-time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Put("old", testReport("c"), now.Add(-2*time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, _, err := ix.Get("young"); err != nil {
-		t.Errorf("one-ns-inside-TTL entry not served: %v", err)
-	}
-	if _, _, err := ix.Get("exact"); !errors.Is(err, ErrExpired) {
-		t.Errorf("exactly-TTL-old entry = %v, want ErrExpired", err)
-	}
-	if _, _, err := ix.Get("old"); !errors.Is(err, ErrExpired) {
-		t.Errorf("past-TTL entry = %v, want ErrExpired", err)
-	}
-	for _, key := range []string{"exact", "old"} {
-		if _, err := os.Stat(filepath.Join(dir, key+DirSuffix)); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("expired dir %s.journal still exists (err=%v)", key, err)
-		}
-	}
-
-	// An expired entry stays gone across a reopen, and Open itself
-	// expires entries that aged out while the process was down.
-	if err := ix.Put("ages-out", testReport("d"), now.Add(-30*time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Put("fresh", testReport("e"), now); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(31 * time.Minute)
-	ix2 := mustOpen(t, Config{Dir: dir, TTL: time.Hour, Now: clock})
-	if _, ok := ix2.Lookup("ages-out"); ok {
-		t.Error("entry that aged out while down survived reopen")
-	}
-	if _, ok := ix2.Lookup("fresh"); !ok {
-		t.Error("still-fresh entry lost on reopen")
-	}
-}
-
-// TestExpireSweep exercises the explicit sweep path speard's ticker
-// drives, including the zero-TTL never-expires contract.
-func TestExpireSweep(t *testing.T) {
-	dir := t.TempDir()
-	now := time.Unix(5000, 0)
-	ix := mustOpen(t, Config{Dir: dir, TTL: time.Minute, Now: func() time.Time { return now }})
-	for _, k := range []string{"k1", "k2", "k3"} {
-		if err := ix.Put(k, testReport(k), now); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := ix.Expire(now.Add(30 * time.Second)); n != 0 {
-		t.Errorf("early sweep expired %d", n)
-	}
-	if n := ix.Expire(now.Add(time.Minute)); n != 3 {
-		t.Errorf("boundary sweep expired %d, want 3", n)
-	}
-
-	forever := mustOpen(t, Config{Dir: t.TempDir()})
-	if err := forever.Put("k", testReport("k"), time.Unix(1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if n := forever.Expire(time.Unix(1, 0).Add(1000 * time.Hour)); n != 0 {
-		t.Errorf("zero-TTL index expired %d entries", n)
-	}
-}
-
-// TestCompactBoundsTheJournal: a journal fat with run records folds down
-// to its live records, and the stored report survives compaction intact.
-func TestCompactBoundsTheJournal(t *testing.T) {
-	dir := t.TempDir()
-	key := "cafe"
-	jdir := filepath.Join(dir, key+DirSuffix)
-	w, err := journal.Open(jdir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if err := w.Append(journal.Record{Status: journal.StatusStarted, Key: "run1", Kernel: "k"}); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Append(journal.Record{Status: journal.StatusDone, Key: "run1", Result: []byte(`{"Cycles":1}`)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ix := mustOpen(t, Config{Dir: dir})
-	want := testReport("compact")
-	if err := ix.Put(key, want, time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := os.Stat(filepath.Join(jdir, journal.FileName))
-	n, err := ix.Compact()
-	if err != nil || n != 1 {
-		t.Fatalf("Compact = %d, %v", n, err)
-	}
-	after, _ := os.Stat(filepath.Join(jdir, journal.FileName))
-	if after.Size() >= before.Size() {
-		t.Errorf("compaction did not shrink the journal: %d -> %d bytes", before.Size(), after.Size())
-	}
-	got, _, err := ix.Get(key)
-	if err != nil || !bytes.Equal(got, want) {
-		t.Errorf("report after compaction: %v (equal=%v)", err, bytes.Equal(got, want))
-	}
-}
-
 // TestDirWithoutReportNotIndexed: a journal directory holding only run
-// records (a live or resumable job) is invisible to the index and its
-// journal is never touched by Compact.
+// records (a live or resumable job) is invisible to the index.
 func TestDirWithoutReportNotIndexed(t *testing.T) {
 	dir := t.TempDir()
 	w, err := journal.Open(filepath.Join(dir, "beef"+DirSuffix), true)
@@ -307,7 +193,7 @@ func TestDirWithoutReportNotIndexed(t *testing.T) {
 	}
 	ix := mustOpen(t, Config{Dir: dir})
 	if ix.Len() != 0 {
-		t.Errorf("report-less dir indexed: %v", ix.Keys())
+		t.Errorf("report-less dir indexed: %d entries", ix.Len())
 	}
 	if _, _, err := ix.Get("beef"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get = %v, want ErrNotFound", err)
