@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -100,20 +101,24 @@ func BenchmarkMotivation(b *testing.B) { benchView(b, "motivation") }
 // pre-execution (the paper's central hybrid argument).
 func BenchmarkHybridClaim(b *testing.B) { benchView(b, "hybrid") }
 
-// BenchmarkAblations runs the design-choice ablation studies (prefetch
-// range, extraction bandwidth, trigger occupancy, p-thread priority) on
+// BenchmarkAblations runs the seven design-choice ablation studies
+// (prefetch range, extraction bandwidth, trigger occupancy, p-thread
+// priority, region policy, p-thread context size, branch predictor) on
 // the default three-kernel set.
 func BenchmarkAblations(b *testing.B) {
-	var out string
+	var out []string
 	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = harness.RunAblations(harness.DefaultOptions())
+		results, err := harness.Ablate(context.Background(), harness.DefaultOptions(), harness.DefaultAblations()...)
 		if err != nil {
 			b.Fatal(err)
 		}
+		out = out[:0]
+		for _, r := range results {
+			out = append(out, harness.RenderAblation(r))
+		}
 	}
 	b.StopTimer()
-	fmt.Println(out)
+	fmt.Println(strings.Join(out, "\n"))
 }
 
 // sweepSuite prepares the three-kernel suite BenchmarkSweepParallel

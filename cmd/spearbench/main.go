@@ -57,8 +57,8 @@
 // Exit codes:
 //
 //	0  complete — every requested run finished (errors included as rows)
-//	3  partial  — the sweep or figure run was interrupted; its output is
-//	             partial (resume a sweep with -journal/-resume)
+//	3  partial  — a sweep, figure, ablate or faults run was interrupted;
+//	             its output is partial (resume a sweep with -journal/-resume)
 //	5  damaged  — -fsck found torn or corrupt journal records
 //	1  hard failure — bad flags, unknown kernel, I/O errors, ...
 //
@@ -70,8 +70,9 @@
 // instead of aborting the experiment, kernels that fail to prepare are
 // reported on stderr and render as error rows, and each run executes
 // once: a failure, including a watchdog expiry, is one error row. An
-// interrupted figure run prints its tables with the unfinished pairs
-// marked skipped and exits 3.
+// interrupted figure, ablate or faults run prints its tables with the
+// unfinished runs marked skipped and exits 3. The ablations sweep the
+// same pool, one suite per compiler setting.
 //
 // The faults experiment injects every fault class (corrupt slice masks,
 // bogus trigger PCs, truncated live-in sets, flipped opcode bits in the
@@ -90,6 +91,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -318,6 +320,25 @@ func run(ctx context.Context, ro runOptions) error {
 		fmt.Fprintf(os.Stderr, "spearbench: debug server on http://%s (/debug/pprof/, /metrics)\n", addr)
 	}
 
+	out := io.Writer(os.Stdout)
+	if experiment == "ablate" && !ro.asJSON && !ro.asCSV {
+		// The ablations build their own suites, one per compiler setting;
+		// an interrupted run prints its points skipped and exits partial.
+		results, err := harness.Ablate(ctx, opts, harness.DefaultAblations()...)
+		if err != nil {
+			return err
+		}
+		rendered := make([]string, len(results))
+		for i, r := range results {
+			rendered[i] = harness.RenderAblation(r)
+		}
+		fmt.Fprintln(out, strings.Join(rendered, "\n"))
+		if slices.ContainsFunc(results, func(r *harness.AblationResult) bool { return r.Interrupted }) {
+			return errPartial
+		}
+		return nil
+	}
+
 	suite, err := harness.NewSuiteContext(ctx, opts)
 	if err != nil {
 		return err
@@ -325,7 +346,6 @@ func run(ctx context.Context, ro runOptions) error {
 	for name, perr := range suite.Failed {
 		fmt.Fprintf(os.Stderr, "spearbench: warning: kernel %s failed to prepare and is skipped: %v\n", name, perr)
 	}
-	out := io.Writer(os.Stdout)
 
 	if ro.asJSON || ro.asCSV {
 		if ro.asJSON && ro.asCSV {
@@ -393,16 +413,12 @@ func run(ctx context.Context, ro runOptions) error {
 		}
 		ran = true
 	}
-	if experiment == "ablate" {
-		out2, err := harness.RunAblations(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, out2)
-		ran = true
-	}
 	if experiment == "faults" {
-		fmt.Fprintln(out, harness.RenderFaultSuite(suite.FaultSuite(seed)))
+		rows := suite.FaultSuite(ctx, seed)
+		fmt.Fprintln(out, harness.RenderFaultSuite(rows))
+		if slices.ContainsFunc(rows, func(r harness.FaultRow) bool { return r.Skipped != "" }) {
+			return errPartial
+		}
 		ran = true
 	}
 	if !ran {

@@ -189,6 +189,9 @@ type ContainmentResult struct {
 	CountMatch bool   // committed instructions equal the baseline's
 	Faults     uint64 // contained faults observed (PFault.Total())
 	Suppressed uint64 // triggers suppressed by backoff
+	// Skipped is the typed skip reason of a run that cancellation
+	// stopped before it finished; such a run has no verdict.
+	Skipped string
 }
 
 // Contained reports whether the run upheld the containment invariant.
@@ -199,11 +202,15 @@ func (r *ContainmentResult) Contained() bool {
 // VerifyContainment runs one injection on a SPEAR machine and checks the
 // architectural invariant against the baseline emulator state.
 func VerifyContainment(inj *Injection, cfg cpu.Config, baseHash, baseCount uint64) *ContainmentResult {
-	out := &ContainmentResult{Class: inj.Class, Desc: inj.Desc}
-	if len(inj.Override) > 0 {
-		cfg.PTextOverride = inj.Override
-	}
+	cfg.PTextOverride = inj.Override
 	res, err := runProtected(context.Background(), inj.Prog, cfg, 0)
+	return containment(inj, res, err, baseHash, baseCount)
+}
+
+// containment checks one injected run's outcome against the baseline
+// emulator state.
+func containment(inj *Injection, res *cpu.Result, err error, baseHash, baseCount uint64) *ContainmentResult {
+	out := &ContainmentResult{Class: inj.Class, Desc: inj.Desc}
 	if err != nil {
 		out.Err = err
 		return out
@@ -224,13 +231,22 @@ type FaultRow struct {
 
 // FaultSuite injects every fault class into every prepared kernel that has
 // p-threads and verifies containment on SPEAR-128. The injections are
-// deterministic in seed.
-func (s *Suite) FaultSuite(seed int64) []FaultRow {
+// deterministic in seed. Each injected run goes through the suite's run
+// path (FaultHook, watchdog, ctx); a run that cancellation stops, or
+// never starts, is a skipped row.
+func (s *Suite) FaultSuite(ctx context.Context, seed int64) []FaultRow {
 	inj := NewInjector(seed)
 	cfg := cpu.SPEARConfig(128, false)
 	var rows []FaultRow
 	for _, p := range s.Prepared {
 		if len(p.Ref.PThreads) == 0 {
+			continue
+		}
+		if ctx.Err() != nil {
+			for _, class := range FaultClasses() {
+				rows = append(rows, FaultRow{Kernel: p.Kernel.Name,
+					ContainmentResult: &ContainmentResult{Class: class, Skipped: SkipInterrupted}})
+			}
 			continue
 		}
 		baseHash, baseCount, err := BaselineState(p.Ref, 50_000_000)
@@ -247,8 +263,14 @@ func (s *Suite) FaultSuite(seed int64) []FaultRow {
 					ContainmentResult: &ContainmentResult{Class: class, Err: err}})
 				continue
 			}
-			rows = append(rows, FaultRow{Kernel: p.Kernel.Name,
-				ContainmentResult: VerifyContainment(injection, cfg, baseHash, baseCount)})
+			cfg.PTextOverride = injection.Override
+			run := &Prepared{Kernel: p.Kernel, Ref: injection.Prog}
+			res, err := s.runOnce(ctx, run, cfg, "inject/"+string(class))
+			r := containment(injection, res, err, baseHash, baseCount)
+			if interrupted(err) {
+				r = &ContainmentResult{Class: class, Desc: injection.Desc, Skipped: SkipInterrupted}
+			}
+			rows = append(rows, FaultRow{Kernel: p.Kernel.Name, ContainmentResult: r})
 		}
 	}
 	return rows
@@ -257,8 +279,13 @@ func (s *Suite) FaultSuite(seed int64) []FaultRow {
 // RenderFaultSuite formats the fault-injection verification table.
 func RenderFaultSuite(rows []FaultRow) string {
 	t := stats.NewTable("kernel", "fault class", "contained", "faults", "suppressed", "IPC")
-	ok := 0
+	ok, skipped := 0, 0
 	for _, r := range rows {
+		if r.Skipped != "" {
+			t.AddSpanRow(r.Kernel, fmt.Sprintf("[%s] skipped: %s", r.Class, r.Skipped))
+			skipped++
+			continue
+		}
 		if r.Err != nil {
 			t.AddSpanRow(r.Kernel, fmt.Sprintf("[%s] ERROR: %v", r.Class, r.Err))
 			continue
@@ -275,6 +302,10 @@ func RenderFaultSuite(rows []FaultRow) string {
 		}
 		t.AddRow(r.Kernel, string(r.Class), verdict, r.Faults, r.Suppressed, ipc)
 	}
-	return fmt.Sprintf("Fault injection: speculative containment invariant (%d/%d contained)\n%s",
-		ok, len(rows), t.String())
+	note := ""
+	if skipped > 0 {
+		note = fmt.Sprintf(", %d skipped", skipped)
+	}
+	return fmt.Sprintf("Fault injection: speculative containment invariant (%d/%d contained%s)\n%s",
+		ok, len(rows)-skipped, note, t.String())
 }

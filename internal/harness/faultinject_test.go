@@ -129,7 +129,7 @@ func TestInjectRejectsUnannotatedProgram(t *testing.T) {
 
 func TestFaultSuiteContainment(t *testing.T) {
 	s := derivedSuite(suite(t).Opts, mcfPrepared(t))
-	rows := s.FaultSuite(7)
+	rows := s.FaultSuite(context.Background(), 7)
 	if len(rows) != len(FaultClasses()) {
 		t.Fatalf("rows = %d, want one per fault class", len(rows))
 	}
@@ -148,6 +148,38 @@ func TestFaultSuiteContainment(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestFaultSuiteCancelledMidwayIsSkipped cancels from FaultHook at the
+// second injected run: the first run keeps its verdict, and the stopped
+// run and the ones after it are skipped rows, not NO verdicts.
+func TestFaultSuiteCancelledMidwayIsSkipped(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := suite(t).Opts
+	calls := 0
+	opts.FaultHook = func(kernel, config string) error {
+		if calls++; calls == 2 {
+			cancel()
+		}
+		return nil
+	}
+	rows := derivedSuite(opts, mcfPrepared(t)).FaultSuite(ctx, 7)
+	if len(rows) != len(FaultClasses()) {
+		t.Fatalf("rows = %d, want one per fault class", len(rows))
+	}
+	if r := rows[0]; r.Skipped != "" || !r.Contained() {
+		t.Errorf("first run: skipped %q, contained %v (err %v)", r.Skipped, r.Contained(), r.Err)
+	}
+	for _, r := range rows[1:] {
+		if r.Skipped != SkipInterrupted || r.Err != nil || r.Res != nil {
+			t.Errorf("%s: skipped %q, err %v, want a skipped row", r.Class, r.Skipped, r.Err)
+		}
+	}
+	out := RenderFaultSuite(rows)
+	if strings.Contains(out, " NO ") || !strings.Contains(out, "(1/1 contained, 3 skipped)") {
+		t.Errorf("render:\n%s", out)
 	}
 }
 

@@ -38,8 +38,8 @@ func TestPrefetchTimelyAndLate(t *testing.T) {
 
 func TestPrefetchUselessOnEvictionAndAtEnd(t *testing.T) {
 	h := tinyTimed()
-	h.AccessAtPC(0x100, false, TidHelper, 0, 7) // evicted untouched below
-	h.AccessAt(0x140, false, TidMain, 200)      // conflict: evicts 0x100
+	h.AccessAtPC(0x100, false, TidHelper, 0, 7)   // evicted untouched below
+	h.AccessAt(0x140, false, TidMain, 200)        // conflict: evicts 0x100
 	h.AccessAtPC(0x180, false, TidHelper, 300, 7) // resident untouched at end
 	p := h.FinalizePrefetch()
 	if p.Fills != 2 || p.Useless != 2 {
@@ -52,9 +52,9 @@ func TestPrefetchUselessOnEvictionAndAtEnd(t *testing.T) {
 
 func TestPrefetchHarmful(t *testing.T) {
 	h := tinyTimed()
-	h.AccessAt(0x140, false, TidMain, 0)          // main's working-set block
-	h.AccessAtPC(0x100, false, TidHelper, 10, 7)  // evicts 0x140, records victim
-	h.AccessAt(0x140, false, TidMain, 400)        // demand miss on the victim
+	h.AccessAt(0x140, false, TidMain, 0)         // main's working-set block
+	h.AccessAtPC(0x100, false, TidHelper, 10, 7) // evicts 0x140, records victim
+	h.AccessAt(0x140, false, TidMain, 400)       // demand miss on the victim
 	p := h.FinalizePrefetch()
 	if p.Fills != 1 || p.Harmful != 1 || p.Useless != 0 {
 		t.Fatalf("stats = %+v", p.PrefetchClass)
@@ -82,9 +82,9 @@ func TestPrefetchTouchedFillNotHarmful(t *testing.T) {
 func TestPrefetchHelperRefetchRepairsVictim(t *testing.T) {
 	h := tinyTimed()
 	h.AccessAt(0x140, false, TidMain, 0)
-	h.AccessAtPC(0x100, false, TidHelper, 10, 7)  // evicts 0x140
-	h.AccessAtPC(0x140, false, TidHelper, 20, 9)  // helper refetches the victim (evicting 0x100)
-	h.AccessAt(0x140, false, TidMain, 400)        // main hits: no harm anywhere
+	h.AccessAtPC(0x100, false, TidHelper, 10, 7) // evicts 0x140
+	h.AccessAtPC(0x140, false, TidHelper, 20, 9) // helper refetches the victim (evicting 0x100)
+	h.AccessAt(0x140, false, TidMain, 400)       // main hits: no harm anywhere
 	p := h.FinalizePrefetch()
 	if p.Harmful != 0 {
 		t.Fatalf("stats = %+v", p.PrefetchClass)

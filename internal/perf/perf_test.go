@@ -212,7 +212,7 @@ func TestCompareDirectionsAndThresholds(t *testing.T) {
 	old.Add("gone", "n", 1, LowerIsBetter, 10)
 
 	new_ := NewBench("new", Env{})
-	new_.Add("wall.ns", "ns", 120, LowerIsBetter, 10)  // +20% slower: regress
+	new_.Add("wall.ns", "ns", 120, LowerIsBetter, 10)   // +20% slower: regress
 	new_.Add("ips", "instrs/s", 85, HigherIsBetter, 10) // -15% throughput: regress
 	new_.Add("info", "n", 500, LowerIsBetter, 0)        // informational
 	new_.Add("added", "n", 1, LowerIsBetter, 10)
