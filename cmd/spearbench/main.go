@@ -58,7 +58,7 @@
 //
 //	0  complete — every requested run finished (errors included as rows)
 //	3  partial  — a sweep, figure, ablate or faults run was interrupted;
-//	             its output is partial (resume a sweep with -journal/-resume)
+//	             its output is partial (a -journal sweep resumes with -resume)
 //	5  damaged  — -fsck found torn or corrupt journal records
 //	1  hard failure — bad flags, unknown kernel, I/O errors, ...
 //
@@ -71,8 +71,8 @@
 // reported on stderr and render as error rows, and each run executes
 // once: a failure, including a watchdog expiry, is one error row. An
 // interrupted figure, ablate or faults run prints its tables with the
-// unfinished runs marked skipped and exits 3. The ablations sweep the
-// same pool, one suite per compiler setting.
+// unfinished runs marked skipped and exits 3. The ablations are one
+// pooled sweep too, re-slicing each prepared kernel per slicer setting.
 //
 // The faults experiment injects every fault class (corrupt slice masks,
 // bogus trigger PCs, truncated live-in sets, flipped opcode bits in the
@@ -115,7 +115,7 @@ const (
 
 // errPartial marks a gracefully interrupted sweep or figure run: the
 // partial report or tables were written and the process exits with code 3.
-var errPartial = errors.New("interrupted; output is partial (sweeps resume with -journal/-resume)")
+var errPartial = errors.New("interrupted; output is partial")
 
 // errDamaged marks an -fsck walk that found torn or corrupt records: the
 // report was printed and the process exits with code 5.
@@ -322,8 +322,9 @@ func run(ctx context.Context, ro runOptions) error {
 
 	out := io.Writer(os.Stdout)
 	if experiment == "ablate" && !ro.asJSON && !ro.asCSV {
-		// The ablations build their own suites, one per compiler setting;
-		// an interrupted run prints its points skipped and exits partial.
+		// The ablations build their own suite: each kernel once, plus a
+		// re-sliced row per slicer setting, all in one pooled sweep. An
+		// interrupted run prints its points skipped and exits partial.
 		results, err := harness.Ablate(ctx, opts, harness.DefaultAblations()...)
 		if err != nil {
 			return err
@@ -383,6 +384,9 @@ func run(ctx context.Context, ro runOptions) error {
 			if err := autoProfile(ctx, suite, rep, ro.autoProfile); err != nil {
 				return err
 			}
+		}
+		if rep.Interrupted && ro.journalDir != "" {
+			return fmt.Errorf("%w (resume with -journal %s -resume)", errPartial, ro.journalDir)
 		}
 		if rep.Interrupted {
 			return errPartial

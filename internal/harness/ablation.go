@@ -14,11 +14,10 @@ import (
 
 // Ablation studies for the design choices DESIGN.md calls out: the
 // paper's prefetching-range future work and its empirically chosen
-// constants. Every setting is a view of a pooled sweep. A machine-side
-// setting is a SPEAR-128 variant named after the setting; a compile-side
-// setting runs SPEAR-128 over a suite compiled with its options. Each
-// setting's IPC is normalised to the kernel's baseline, which is
-// simulated once per kernel.
+// constants. Every setting is a view of one suite and one pooled sweep:
+// a machine-side setting is a SPEAR-128 variant named after the setting,
+// a slicer-side setting runs SPEAR-128 over re-sliced kernel rows. Each
+// setting's IPC is normalised to the kernel's baseline.
 
 // AblationStudy is one study: its title and its settings.
 type AblationStudy struct {
@@ -27,12 +26,12 @@ type AblationStudy struct {
 }
 
 // AblationSetting is one setting of a study. Machine is the machine it
-// runs; Compile, when non-nil, adjusts the compiler options of the suite
-// it runs over.
+// runs; Slice, when non-nil, adjusts the slicer options of the kernel
+// rows it runs over (the CFG and the profile stay those of the suite).
 type AblationSetting struct {
 	Label   string
 	Machine cpu.Config
-	Compile func(*spearcc.Options)
+	Slice   func(*slicer.Config)
 }
 
 // AblationPoint is one setting's outcome on one kernel. A non-nil Err
@@ -70,15 +69,15 @@ func machineStudy[T any](name string, values []T, apply func(*cpu.Config, T) str
 	return st
 }
 
-// compileStudy makes one compile-side setting per value; apply sets the
-// compiler option and returns the setting's label.
-func compileStudy[T any](name string, values []T, apply func(*spearcc.Options, T) string) AblationStudy {
+// sliceStudy makes one slicer-side setting per value; apply sets the
+// slicer option and returns the setting's label.
+func sliceStudy[T any](name string, values []T, apply func(*slicer.Config, T) string) AblationStudy {
 	st := AblationStudy{Name: name}
 	for _, v := range values {
 		st.Settings = append(st.Settings, AblationSetting{
-			Label:   apply(&spearcc.Options{}, v),
+			Label:   apply(&slicer.Config{}, v),
 			Machine: cpu.SPEARConfig(128, false),
-			Compile: func(o *spearcc.Options) { apply(o, v) },
+			Slice:   func(c *slicer.Config) { apply(c, v) },
 		})
 	}
 	return st
@@ -88,9 +87,9 @@ func compileStudy[T any](name string, values []T, apply func(*spearcc.Options, T
 // -experiment ablate sweeps, in rendering order (DESIGN.md §7).
 func DefaultAblations() []AblationStudy {
 	return []AblationStudy{
-		compileStudy("prefetch-range (d-cycle threshold; paper: 120)", []float64{30, 60, 120, 240, 480},
-			func(o *spearcc.Options, th float64) string {
-				o.Slice.DCycleThreshold = th
+		sliceStudy("prefetch-range (d-cycle threshold; paper: 120)", []float64{30, 60, 120, 240, 480},
+			func(c *slicer.Config, th float64) string {
+				c.DCycleThreshold = th
 				return fmt.Sprintf("d-cycle>=%.0f", th)
 			}),
 		machineStudy("extraction bandwidth (paper: issue/2 = 4)", []int{1, 2, 4, 8},
@@ -108,10 +107,10 @@ func DefaultAblations() []AblationStudy {
 				cfg.PThreadPriority = v == "on"
 				return "priority=" + v
 			}),
-		compileStudy("region selection policy (paper: d-cycle >= 120)",
+		sliceStudy("region selection policy (paper: d-cycle >= 120)",
 			[]slicer.RegionPolicy{slicer.RegionInnermost, slicer.RegionDCycle, slicer.RegionOutermost},
-			func(o *spearcc.Options, pol slicer.RegionPolicy) string {
-				o.Slice.Region = pol
+			func(c *slicer.Config, pol slicer.RegionPolicy) string {
+				c.Region = pol
 				return pol.String()
 			}),
 		machineStudy("p-thread context size (default: 128)", []int{16, 32, 64, 128},
@@ -127,71 +126,73 @@ func DefaultAblations() []AblationStudy {
 	}
 }
 
-// Ablate runs the studies over opts.Kernels (default: mcf, art, matrix).
-// The default suite's pooled sweep runs the baseline and every setting
-// that keeps the default compiler options; each other compiler setting
-// builds one suite and sweeps its machines. Each (suite, machine) pair
-// runs once however many settings read it. A failing run is an error
-// point; a cancelled one is a skipped point and marks its study
-// interrupted. Ablate errs only when the default suite cannot be built.
+// Ablate runs the studies over opts.Kernels (default: mcf, art, matrix)
+// in one suite and one pooled sweep. Each kernel is prepared once; each
+// distinct non-default slicer setting adds a re-sliced row per kernel,
+// named kernel@label after the first setting that asks for it. Each
+// (row, machine) pair runs once however many settings read it. A failing
+// run is an error point; a cancelled one is a skipped point and marks
+// its study interrupted. Ablate errs only when the suite cannot be built.
 func Ablate(ctx context.Context, opts Options, studies ...AblationStudy) ([]*AblationResult, error) {
 	if len(opts.Kernels) == 0 {
 		opts.Kernels = defaultAblationKernels
 	}
+	s, err := NewSuiteContext(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	prepared := s.Prepared
+	rows := func(sfx string) (names []string) {
+		for _, p := range prepared {
+			names = append(names, p.Kernel.Name+sfx)
+		}
+		return names
+	}
+	sliceOf := func(set AblationSetting) slicer.Config {
+		c := opts.Compiler.Slice
+		if set.Slice != nil {
+			set.Slice(&c)
+		}
+		return c
+	}
 	base := cpu.BaselineConfig()
-	compilers := []spearcc.Options{opts.Compiler}
-	views := map[spearcc.Options][]View{opts.Compiler: {{Name: base.Name, Configs: []cpu.Config{base}}}}
+	views := []View{{Configs: []cpu.Config{base}, Kernels: rows("")}}
+	suffix := map[slicer.Config]string{opts.Compiler.Slice: ""}
 	for _, st := range studies {
 		for _, set := range st.Settings {
-			c := set.compiler(opts.Compiler)
-			if _, ok := views[c]; !ok {
-				compilers = append(compilers, c)
+			c := sliceOf(set)
+			if _, ok := suffix[c]; !ok {
+				suffix[c] = "@" + set.Label
+				for _, p := range prepared {
+					ref, rep, err := spearcc.Slice(p.Ref, p.Report, c)
+					k := p.Kernel
+					k.Name += suffix[c]
+					if err != nil {
+						s.Failed[k.Name] = err
+						continue
+					}
+					s.Prepared = append(s.Prepared, &Prepared{Kernel: k, Ref: ref, Report: rep, RefInstr: p.RefInstr})
+				}
 			}
-			views[c] = append(views[c], View{Name: set.Label, Configs: []cpu.Config{set.Machine}})
+			views = append(views, View{Configs: []cpu.Config{set.Machine}, Kernels: rows(suffix[c])})
 		}
 	}
-	reports := map[spearcc.Options]*Report{}
-	failed := map[spearcc.Options]error{}
-	for _, c := range compilers {
-		o := opts
-		o.Compiler = c
-		s, err := NewSuiteContext(ctx, o)
-		switch {
-		case err == nil:
-			reports[c] = s.SweepViews(ctx, "ablate", views[c])
-		case c == opts.Compiler:
-			return nil, err
-		case interrupted(err):
-			failed[c] = fmt.Errorf("harness: %w: %s", ErrSkipped, SkipInterrupted)
-		default:
-			failed[c] = err
-		}
-	}
-	result := func(c spearcc.Options, kernel, config string) (*cpu.Result, error) {
-		if err := failed[c]; err != nil {
-			return nil, err
-		}
-		r, err := reports[c].results(kernel, config)
-		if err != nil {
-			return nil, err
-		}
-		return r[0], nil
-	}
+	rep := s.SweepViews(ctx, "ablate", views)
 	out := make([]*AblationResult, len(studies))
 	for i, st := range studies {
 		res := &AblationResult{Name: st.Name}
 		for _, k := range opts.Kernels {
-			b, baseErr := result(opts.Compiler, k, base.Name)
+			b, baseErr := rep.results(k, base.Name)
 			for _, set := range st.Settings {
 				p := AblationPoint{Kernel: k, Setting: set.Label}
-				r, err := result(set.compiler(opts.Compiler), k, set.Machine.Name)
+				r, err := rep.results(k+suffix[sliceOf(set)], set.Machine.Name)
 				switch {
 				case baseErr != nil:
 					p.Err = baseErr
 				case err != nil:
 					p.Err = err
 				default:
-					p.IPC, p.Norm = r.IPC, r.IPC/b.IPC
+					p.IPC, p.Norm = r[0].IPC, r[0].IPC/b[0].IPC
 				}
 				res.Interrupted = res.Interrupted || errors.Is(p.Err, ErrSkipped)
 				res.Points = append(res.Points, p)
@@ -200,15 +201,6 @@ func Ablate(ctx context.Context, opts Options, studies ...AblationStudy) ([]*Abl
 		out[i] = res
 	}
 	return out, nil
-}
-
-// compiler returns the compiler options the setting's suite is built
-// with.
-func (set AblationSetting) compiler(def spearcc.Options) spearcc.Options {
-	if set.Compile != nil {
-		set.Compile(&def)
-	}
-	return def
 }
 
 // RenderAblation formats one study.

@@ -112,16 +112,19 @@ func TestAblationsRejectUnknownKernel(t *testing.T) {
 	}
 }
 
-// TestAblateRunsEachPairOnce counts the runs behind a compile-side and
+// TestAblateRunsEachPairOnce counts the runs behind a slicer-side and
 // two machine-side studies through FaultHook, which fails every run so
 // that nothing is simulated: the baseline and each machine-side setting
-// run once per kernel, and SPEAR-128 once per compiler setting
-// (d-cycle>=120 is the default one and reuses the default suite).
+// run once per kernel, and SPEAR-128 once on each kernel row and once on
+// each re-sliced row (d-cycle>=120 is the default setting and reads the
+// kernel row). Each kernel is prepared once.
 func TestAblateRunsEachPairOnce(t *testing.T) {
 	var mu sync.Mutex
 	calls := map[[2]string]int{}
+	var log lockedLog
 	opts := DefaultOptions()
 	opts.Kernels = []string{"mcf", "field"}
+	opts.Log = &log
 	opts.FaultHook = func(kernel, config string) error {
 		mu.Lock()
 		defer mu.Unlock()
@@ -133,15 +136,21 @@ func TestAblateRunsEachPairOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int{"baseline": 1, "SPEAR-128": 2, "extract=2": 1, "extract=4": 1, "priority=on": 1, "priority=off": 1}
+	want := map[string]int{"baseline": 1, "SPEAR-128": 1, "extract=2": 1, "extract=4": 1, "priority=on": 1, "priority=off": 1}
 	for _, k := range opts.Kernels {
 		for config, n := range want {
 			if got := calls[[2]string{k, config}]; got != n {
 				t.Errorf("%s on %s ran %d times, want %d", k, config, got, n)
 			}
 		}
+		if got := calls[[2]string{k + "@d-cycle>=60", "SPEAR-128"}]; got != 1 {
+			t.Errorf("%s@d-cycle>=60 on SPEAR-128 ran %d times, want 1", k, got)
+		}
+		if got := strings.Count(log.String(), "prepare "+k+"\n"); got != 1 {
+			t.Errorf("%s prepared %d times, want 1:\n%s", k, got, log.String())
+		}
 	}
-	if len(calls) != len(want)*len(opts.Kernels) {
+	if len(calls) != (len(want)+1)*len(opts.Kernels) {
 		t.Errorf("runs = %v", calls)
 	}
 	for _, r := range res {
@@ -159,9 +168,27 @@ func TestAblateRunsEachPairOnce(t *testing.T) {
 	}
 }
 
+// lockedLog is a log sink safe for the suite's concurrent writers.
+type lockedLog struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // TestAblateCancelledIsInterrupted cancels at the first run: every
-// point, including those of the compiler setting whose suite is never
-// built, is skipped and every study is marked interrupted.
+// point, including those of the re-sliced rows, is skipped and every
+// study is marked interrupted.
 func TestAblateCancelledIsInterrupted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

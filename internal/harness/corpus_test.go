@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"spear/internal/asm"
 	"spear/internal/cpu"
 	"spear/internal/emu"
+	"spear/internal/prog"
 	"spear/internal/progen"
 )
 
@@ -72,13 +74,22 @@ func TestCorpusGolden(t *testing.T) {
 	}
 }
 
-// TestDifferentialOracleCorpus runs every committed corpus program
-// through the differential oracle: on each standard machine, the cycle
-// simulator's final architectural state and commit count must match an
-// independent functional emulation. This is the corpus's real job —
-// TestDifferentialOracleSuiteWide covers the fifteen hand kernels; these
-// six cover generated control/memory shapes no hand kernel exercises.
-func TestDifferentialOracleCorpus(t *testing.T) {
+// corpusGrid holds the committed corpus programs as a static suite and
+// their one sweep, shared by the corpus oracle and the cycle golden.
+var corpusGrid struct {
+	s    *Suite
+	rep  *Report
+	cfgs []cpu.Config
+}
+
+// corpusSweep returns the corpus suite, its sweep and the machines swept:
+// every corpus program on every standard machine, or the first two on
+// baseline and SPEAR-128 under -short and the race detector.
+func corpusSweep(t *testing.T) (*Suite, *Report, []cpu.Config) {
+	t.Helper()
+	if corpusGrid.s != nil {
+		return corpusGrid.s, corpusGrid.rep, corpusGrid.cfgs
+	}
 	files, err := filepath.Glob(corpusPath("*.spisa"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no corpus files found (run TestCorpusGolden with -update): %v", err)
@@ -89,26 +100,44 @@ func TestDifferentialOracleCorpus(t *testing.T) {
 		files = files[:2]
 		cfgs = []cpu.Config{cpu.BaselineConfig(), cpu.SPEARConfig(128, false)}
 	}
+	var progs []*prog.Program
 	for _, path := range files {
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := asm.Assemble(filepath.Base(path), string(src))
-			if err != nil {
-				t.Fatalf("corpus file no longer assembles: %v", err)
-			}
-			m := emu.New(p)
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := asm.Assemble(filepath.Base(path), string(src))
+		if err != nil {
+			t.Fatalf("corpus file %s no longer assembles: %v", path, err)
+		}
+		progs = append(progs, p)
+	}
+	s := NewStaticSuite(DefaultOptions(), progs...)
+	corpusGrid.s, corpusGrid.rep, corpusGrid.cfgs = s, s.SweepReportContext(context.Background(), "corpus", cfgs, nil), cfgs
+	return corpusGrid.s, corpusGrid.rep, corpusGrid.cfgs
+}
+
+// TestDifferentialOracleCorpus runs every committed corpus program
+// through the differential oracle: on each standard machine, the cycle
+// simulator's final architectural state and commit count must match an
+// independent functional emulation. This is the corpus's real job —
+// TestDifferentialOracleSuiteWide covers the fifteen hand kernels; these
+// six cover generated control/memory shapes no hand kernel exercises.
+func TestDifferentialOracleCorpus(t *testing.T) {
+	s, rep, cfgs := corpusSweep(t)
+	for _, p := range s.Prepared {
+		t.Run(p.Kernel.Name, func(t *testing.T) {
+			m := emu.New(p.Ref)
 			if err := m.Run(50_000_000); err != nil {
 				t.Fatalf("reference emulation: %v", err)
 			}
 			wantHash, wantCount := m.StateHash(), m.Count
 			for _, cfg := range cfgs {
-				res, err := cpu.Run(p, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", cfg.Name, err)
+				row := rep.Lookup(p.Kernel.Name, cfg.Name)
+				if row == nil || row.Result == nil {
+					t.Fatalf("%s: run did not complete: %+v", cfg.Name, row)
 				}
+				res := row.Result
 				if res.MainCommitted != wantCount {
 					t.Errorf("%s: committed %d instructions, emulator retired %d", cfg.Name, res.MainCommitted, wantCount)
 				}

@@ -7,6 +7,47 @@ import (
 	"spear/internal/emu"
 )
 
+// The full grid, built at most once per test binary and shared by the
+// differential oracle and the goldens. The suite and its sweep are built
+// apart, so a test that reads only the suite does not sweep it.
+var (
+	fullSuite  *Suite
+	fullReport *Report
+)
+
+// oracleSuite returns the suite the oracle and the goldens read: every
+// kernel in the default mode that tier-1 CI uses, the shared two-kernel
+// suite (one annotated kernel, one not) under -short and under the race
+// detector, which slows the cycle core by an order of magnitude.
+func oracleSuite(t *testing.T) *Suite {
+	t.Helper()
+	if testing.Short() || raceEnabled {
+		return suite(t)
+	}
+	if fullSuite == nil {
+		s, err := NewSuiteContext(context.Background(), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullSuite = s
+	}
+	return fullSuite
+}
+
+// oracleReport returns the one sweep of oracleSuite's kernels on every
+// StandardConfigs machine. Under -short and race it is the shared sweep
+// of every view's pairs, which includes those machines.
+func oracleReport(t *testing.T) *Report {
+	t.Helper()
+	if testing.Short() || raceEnabled {
+		return viewsReport(t)
+	}
+	if fullReport == nil {
+		fullReport = oracleSuite(t).SweepReportContext(context.Background(), "differential-oracle", StandardConfigs(), nil)
+	}
+	return fullReport
+}
+
 // TestDifferentialOracleSuiteWide is the suite-wide differential oracle:
 // for every kernel under every StandardConfigs machine, the cycle
 // simulator's final architectural state — retired register file plus
@@ -16,26 +57,8 @@ import (
 // fault-injection harness into one table-driven sweep over the whole
 // evaluation grid, and doubles as an end-to-end exercise of the parallel
 // sweep engine on real kernels.
-//
-// In -short mode (and under the race detector, which slows the cycle
-// core by an order of magnitude) the grid is restricted to one annotated
-// and one unannotated kernel; the full fifteen-kernel grid runs in the
-// default mode that tier-1 CI uses, and the oracle reads the shared
-// sweep of every view's pairs instead of sweeping them again.
 func TestDifferentialOracleSuiteWide(t *testing.T) {
-	cfgs := StandardConfigs()
-	var s *Suite
-	var rep *Report
-	if testing.Short() || raceEnabled {
-		// The shared two-kernel suite (one annotated, one not).
-		s, rep = suite(t), viewsReport(t)
-	} else {
-		var err error
-		if s, err = NewSuiteContext(context.Background(), DefaultOptions()); err != nil {
-			t.Fatal(err)
-		}
-		rep = s.SweepReportContext(context.Background(), "differential-oracle", cfgs, nil)
-	}
+	s, rep := oracleSuite(t), oracleReport(t)
 	for name, perr := range s.Failed {
 		t.Errorf("kernel %s failed to prepare: %v", name, perr)
 	}
@@ -57,7 +80,7 @@ func TestDifferentialOracleSuiteWide(t *testing.T) {
 	}
 	for _, p := range s.Prepared {
 		want := refs[p.Kernel.Name]
-		for _, cfg := range cfgs {
+		for _, cfg := range StandardConfigs() {
 			t.Run(p.Kernel.Name+"/"+cfg.Name, func(t *testing.T) {
 				row := rep.Lookup(p.Kernel.Name, cfg.Name)
 				if row == nil {

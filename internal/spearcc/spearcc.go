@@ -58,20 +58,22 @@ func Compile(train *prog.Program, opts Options) (*prog.Program, *Report, error) 
 	if err != nil {
 		return nil, nil, fmt.Errorf("spearcc: profile: %w", err)
 	}
-	pthreads, sliceReps := slicer.Build(train, g, res, opts.Slice)
+	return Slice(train, &Report{Profiled: res.InstrCount, DLoads: res.DLoads, Graph: g, ProfileData: res}, opts.Slice)
+}
 
-	out := Attach(train, pthreads)
+// Slice runs modules ③ and ④ on p under c, reusing the CFG and profile
+// of an earlier compilation of p's text. The slicer reads only the text,
+// so p may carry any data image or p-thread table; the result is what a
+// full Compile with c would attach.
+func Slice(p *prog.Program, base *Report, c slicer.Config) (*prog.Program, *Report, error) {
+	pthreads, sliceReps := slicer.Build(p, base.Graph, base.ProfileData, c)
+	out := Attach(p, pthreads)
 	if err := out.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("spearcc: attach produced invalid binary: %w", err)
 	}
-	rep := &Report{
-		Profiled:    res.InstrCount,
-		DLoads:      res.DLoads,
-		SliceInfo:   sliceReps,
-		Graph:       g,
-		ProfileData: res,
-	}
-	return out, rep, nil
+	rep := *base
+	rep.SliceInfo = sliceReps
+	return out, &rep, nil
 }
 
 // Attach is module ④: it produces a copy of p with the p-thread table
