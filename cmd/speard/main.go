@@ -20,7 +20,9 @@
 // job's runs are write-ahead-journaled under -data/<key>.journal. After
 // a crash (even SIGKILL), restarting speard over the same -data and
 // resubmitting the identical request resumes from the fsync'd journal
-// and converges to the byte-identical report.
+// and converges to the byte-identical report. A finished job appends its
+// report to the same journal, so resubmitting a job that finished before
+// the restart is served from disk without re-running it.
 //
 // Admission control: the queue is bounded (-queue); past the bound a
 // submission is answered 429 with a Retry-After header, never silently
@@ -115,20 +117,17 @@ func run(addr, data string, cfg sched.Config, drainTimeout time.Duration, parall
 		cfg.Log = os.Stderr
 	}
 
-	// The completed-report index scans -data at startup: every sweep a
-	// previous incarnation finished is served straight from disk, never
-	// re-executed. Scan problems (quarantined damage) are logged and the
-	// affected entry is simply not indexed — startup never fails on a
-	// damaged journal.
+	// The report store reads each job's own journal under -data when the
+	// job is submitted: every sweep a previous incarnation finished is
+	// served straight from disk, never re-executed. Startup reads no
+	// journal; damage found at submit time is quarantined and logged,
+	// and the job re-runs.
 	ix, err := store.Open(store.Config{Dir: data, Perf: reg, Log: cfg.Log})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "speard: report store:", err)
 		return exitcode.Err
 	}
 	cfg.Store = ix
-	if n := ix.Len(); n > 0 {
-		fmt.Fprintf(os.Stderr, "speard: report store indexed %d completed sweep(s)\n", n)
-	}
 
 	opts := harness.DefaultOptions()
 	opts.Parallel = parallel

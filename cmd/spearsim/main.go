@@ -12,8 +12,7 @@
 //
 // Telemetry: -events streams structured simulator events (fetch, dispatch,
 // extract, trigger, issue, commit, flush, squash, fault, session) to a JSONL
-// file (-events-binary selects the compact binary encoding instead);
-// -event-cycles bounds the stream to the first N cycles. -metrics N samples
+// file; -event-cycles bounds the stream to the first N cycles. -metrics N samples
 // interval statistics every N cycles and prints the series after the run.
 // -cpuprofile/-memprofile write pprof profiles of the simulator itself.
 // -perf times the simulator's own pipeline stages (host nanoseconds per
@@ -70,7 +69,6 @@ type options struct {
 	seed                   int64
 	inject                 string
 	events                 string
-	eventsBinary           bool
 	eventCycles            uint64
 	metrics                uint64
 	perf                   bool
@@ -88,7 +86,6 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "fault-injection seed (with -inject)")
 	flag.StringVar(&o.inject, "inject", "", "inject a p-thread fault class before simulating: corrupt-mask, bogus-trigger, truncate-live-ins, flip-opcode-bits")
 	flag.StringVar(&o.events, "events", "", "write the structured event stream to this file (JSONL)")
-	flag.BoolVar(&o.eventsBinary, "events-binary", false, "write -events in the compact binary encoding instead of JSONL")
 	flag.Uint64Var(&o.eventCycles, "event-cycles", 0, "bound the event stream to the first N cycles (0 = whole run)")
 	flag.Uint64Var(&o.metrics, "metrics", 0, "sample interval metrics every N cycles and print the series")
 	flag.BoolVar(&o.perf, "perf", false, "time the simulator's own pipeline stages and print the attribution table")
@@ -196,12 +193,7 @@ func run(ctx context.Context, o options) error {
 		if err != nil {
 			return err
 		}
-		var w obs.Writer
-		if o.eventsBinary {
-			w = obs.NewBinary(f)
-		} else {
-			w = obs.NewJSONL(f)
-		}
+		w := obs.NewJSONL(f)
 		defer func() {
 			if err := w.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "spearsim:", err)

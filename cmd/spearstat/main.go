@@ -10,7 +10,6 @@
 //	spearstat -top 5 report.json
 //	spearstat -journal sweep.journal
 //	spearstat -journal sweep.journal -follow
-//	spearstat -journal sweep.journal -verify
 //	spearstat -bench BENCH_baseline.json BENCH_new.json
 //
 // The Figure 6 table is reproduced digit for digit from the JSON alone
@@ -25,10 +24,6 @@
 // another process; a journal that does not exist yet shows a waiting
 // line until the sweep creates it.
 //
-// -verify walks the journal and reports per-record integrity (the same
-// check as spearbench -fsck): record counts by format version, run
-// states, torn tails, and corrupt records.
-//
 // With -bench, spearstat instead compares two spear-bench/1 documents
 // (written by bash bench/run.sh --out) benchstat-style: per-metric old vs
 // new values, percentage deltas, and a verdict column driven by the
@@ -36,8 +31,9 @@
 // overrides every gating threshold with a flat N%; -bench-warn reports
 // regressions without failing, for advisory CI lanes.
 //
-// Exit codes: 0 clean (or report rendered), 2 journal damaged (torn or
-// corrupt records), 4 benchmark regression, 1 hard failure.
+// Journal integrity checks live in spearbench -fsck.
+//
+// Exit codes: 0 report rendered, 4 benchmark regression, 1 hard failure.
 package main
 
 import (
@@ -50,7 +46,6 @@ import (
 
 	"spear/internal/exitcode"
 	"spear/internal/harness"
-	"spear/internal/journal"
 	"spear/internal/mem"
 	"spear/internal/perf"
 	"spear/internal/stats"
@@ -62,7 +57,6 @@ func main() {
 	addr := flag.String("addr", "", "render live progress from a running speard at this address (e.g. http://localhost:8791) instead of a journal directory")
 	follow := flag.Bool("follow", false, "with -journal/-addr: refresh the progress line every -interval until interrupted")
 	refresh := flag.Duration("interval", time.Second, "refresh interval for -follow")
-	verify := flag.Bool("verify", false, "with -journal: walk the journal and report per-record integrity (exit 2 on damage)")
 	bench := flag.Bool("bench", false, "compare two spear-bench/1 documents: spearstat -bench old.json new.json (exit 4 on regression)")
 	benchThreshold := flag.Float64("bench-threshold", 0, "with -bench: override every gating regression threshold with this flat percentage")
 	benchWarn := flag.Bool("bench-warn", false, "with -bench: report regressions but exit 0 (advisory mode)")
@@ -70,10 +64,6 @@ func main() {
 
 	if *follow && *journalDir == "" && *addr == "" {
 		fmt.Fprintln(os.Stderr, "spearstat: -follow requires -journal <dir> or -addr <url>")
-		os.Exit(exitcode.Err)
-	}
-	if *verify && *journalDir == "" {
-		fmt.Fprintln(os.Stderr, "spearstat: -verify requires -journal <dir>")
 		os.Exit(exitcode.Err)
 	}
 	if *journalDir != "" && *addr != "" {
@@ -92,18 +82,6 @@ func main() {
 		}
 		if regressed > 0 && !*benchWarn {
 			os.Exit(exitcode.BenchRegression)
-		}
-		return
-	}
-	if *verify {
-		rep, err := journal.Fsck(nil, *journalDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spearstat:", err)
-			os.Exit(exitcode.Err)
-		}
-		fmt.Print(rep.Summary())
-		if !rep.Clean() {
-			os.Exit(exitcode.VerifyDamaged)
 		}
 		return
 	}

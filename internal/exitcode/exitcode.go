@@ -1,6 +1,6 @@
 // Package exitcode is the single documented table of process exit codes
 // shared by every SPEAR binary. The codes grew up per-binary (spearbench
-// 0/3/5/1, spearsim 2/3/4, spearstat 2/4, speard 0/3/1); this package
+// 0/3/5/1, spearsim 2/3/4, spearstat 4, speard 0/3/1); this package
 // replaces the duplicated magic numbers with one set of named constants
 // so the meanings cannot drift apart and scripts have one place to read.
 //
@@ -15,8 +15,6 @@
 //	  2   spearsim, spearfuzz      validation failure: the cycle simulator
 //	                               diverged from the functional emulator
 //	                               (spearfuzz also writes reproducer bundles)
-//	      spearstat -verify        journal integrity damage found (the
-//	                               read-only flavour of code 5)
 //	  3   spearbench, speard       partial: work was interrupted (signal,
 //	                               deadline, drain timeout) but journaled —
 //	                               resume/resubmit converges byte-identically
@@ -27,7 +25,7 @@
 //	  6   spearproxy               no usable backends: none configured, or
 //	                               every configured shard unreachable at start
 //
-// Codes 2/3/4 carry two names each where two binaries share the number;
+// Codes 3/4 carry two names each where two binaries share the number;
 // the aliases keep call sites self-describing without renumbering a
 // documented, scripted-against interface.
 package exitcode
@@ -44,9 +42,6 @@ const (
 	// simulator retired something the functional emulator did not
 	// (spearsim on one program, spearfuzz across generated ones).
 	Validation = 2
-	// VerifyDamaged is spearstat -verify finding torn or corrupt journal
-	// records (read-only; the journal is left untouched).
-	VerifyDamaged = 2
 
 	// Partial marks gracefully interrupted work whose state is safely
 	// journaled: a spearbench sweep cancelled by a signal, or a speard

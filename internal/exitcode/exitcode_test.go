@@ -10,7 +10,6 @@ func TestTableIsStable(t *testing.T) {
 		"OK":              0,
 		"Err":             1,
 		"Validation":      2,
-		"VerifyDamaged":   2,
 		"Partial":         3,
 		"Deadlock":        3,
 		"Interrupted":     4,
@@ -21,7 +20,6 @@ func TestTableIsStable(t *testing.T) {
 		"OK":              OK,
 		"Err":             Err,
 		"Validation":      Validation,
-		"VerifyDamaged":   VerifyDamaged,
 		"Partial":         Partial,
 		"Deadlock":        Deadlock,
 		"Interrupted":     Interrupted,

@@ -7,6 +7,7 @@ import (
 
 	"spear/internal/bpred"
 	"spear/internal/cpu"
+	"spear/internal/prog"
 	"spear/internal/slicer"
 	"spear/internal/spearcc"
 	"spear/internal/stats"
@@ -128,11 +129,13 @@ func DefaultAblations() []AblationStudy {
 
 // Ablate runs the studies over opts.Kernels (default: mcf, art, matrix)
 // in one suite and one pooled sweep. Each kernel is prepared once; each
-// distinct non-default slicer setting adds a re-sliced row per kernel,
-// named kernel@label after the first setting that asks for it. Each
-// (row, machine) pair runs once however many settings read it. A failing
-// run is an error point; a cancelled one is a skipped point and marks
-// its study interrupted. Ablate errs only when the suite cannot be built.
+// distinct non-default slicer setting re-slices it, and a binary not yet
+// in the suite adds a row named kernel@label after the first setting that
+// produces it. A setting whose binary is already there reads that row,
+// so each (binary, machine) pair runs once however many settings read
+// it. A failing run is an error point; a cancelled one is a skipped
+// point and marks its study interrupted. Ablate errs only when the suite
+// cannot be built.
 func Ablate(ctx context.Context, opts Options, studies ...AblationStudy) ([]*AblationResult, error) {
 	if len(opts.Kernels) == 0 {
 		opts.Kernels = defaultAblationKernels
@@ -142,12 +145,6 @@ func Ablate(ctx context.Context, opts Options, studies ...AblationStudy) ([]*Abl
 		return nil, err
 	}
 	prepared := s.Prepared
-	rows := func(sfx string) (names []string) {
-		for _, p := range prepared {
-			names = append(names, p.Kernel.Name+sfx)
-		}
-		return names
-	}
 	sliceOf := func(set AblationSetting) slicer.Config {
 		c := opts.Compiler.Slice
 		if set.Slice != nil {
@@ -155,26 +152,50 @@ func Ablate(ctx context.Context, opts Options, studies ...AblationStudy) ([]*Abl
 		}
 		return c
 	}
+	// rowOf maps a slicer setting and a kernel to the row that runs it;
+	// byBinary maps a kernel and a binary to the row that holds it.
+	rowOf := map[slicer.Config]map[string]string{opts.Compiler.Slice: {}}
+	byBinary := map[string]string{}
+	binary := func(k string, ref *prog.Program) string {
+		b, _ := prog.Marshal(ref) // Prepare and Slice validate; Marshal cannot fail
+		return k + "\x00" + string(b)
+	}
+	for _, p := range prepared {
+		rowOf[opts.Compiler.Slice][p.Kernel.Name] = p.Kernel.Name
+		byBinary[binary(p.Kernel.Name, p.Ref)] = p.Kernel.Name
+	}
+	rows := func(c slicer.Config) (names []string) {
+		for _, p := range prepared {
+			names = append(names, rowOf[c][p.Kernel.Name])
+		}
+		return names
+	}
 	base := cpu.BaselineConfig()
-	views := []View{{Configs: []cpu.Config{base}, Kernels: rows("")}}
-	suffix := map[slicer.Config]string{opts.Compiler.Slice: ""}
+	views := []View{{Configs: []cpu.Config{base}, Kernels: rows(opts.Compiler.Slice)}}
 	for _, st := range studies {
 		for _, set := range st.Settings {
 			c := sliceOf(set)
-			if _, ok := suffix[c]; !ok {
-				suffix[c] = "@" + set.Label
+			if rowOf[c] == nil {
+				rowOf[c] = map[string]string{}
 				for _, p := range prepared {
-					ref, rep, err := spearcc.Slice(p.Ref, p.Report, c)
 					k := p.Kernel
-					k.Name += suffix[c]
+					k.Name += "@" + set.Label
+					rowOf[c][p.Kernel.Name] = k.Name
+					ref, rep, err := spearcc.Slice(p.Ref, p.Report, c)
 					if err != nil {
 						s.Failed[k.Name] = err
 						continue
 					}
+					bin := binary(p.Kernel.Name, ref)
+					if row, ok := byBinary[bin]; ok {
+						rowOf[c][p.Kernel.Name] = row
+						continue
+					}
+					byBinary[bin] = k.Name
 					s.Prepared = append(s.Prepared, &Prepared{Kernel: k, Ref: ref, Report: rep, RefInstr: p.RefInstr})
 				}
 			}
-			views = append(views, View{Configs: []cpu.Config{set.Machine}, Kernels: rows(suffix[c])})
+			views = append(views, View{Configs: []cpu.Config{set.Machine}, Kernels: rows(c)})
 		}
 	}
 	rep := s.SweepViews(ctx, "ablate", views)
@@ -185,7 +206,7 @@ func Ablate(ctx context.Context, opts Options, studies ...AblationStudy) ([]*Abl
 			b, baseErr := rep.results(k, base.Name)
 			for _, set := range st.Settings {
 				p := AblationPoint{Kernel: k, Setting: set.Label}
-				r, err := rep.results(k+suffix[sliceOf(set)], set.Machine.Name)
+				r, err := rep.results(rowOf[sliceOf(set)][k], set.Machine.Name)
 				switch {
 				case baseErr != nil:
 					p.Err = baseErr

@@ -115,15 +115,16 @@ func TestAblationsRejectUnknownKernel(t *testing.T) {
 // TestAblateRunsEachPairOnce counts the runs behind a slicer-side and
 // two machine-side studies through FaultHook, which fails every run so
 // that nothing is simulated: the baseline and each machine-side setting
-// run once per kernel, and SPEAR-128 once on each kernel row and once on
-// each re-sliced row (d-cycle>=120 is the default setting and reads the
-// kernel row). Each kernel is prepared once.
+// run once per kernel, and SPEAR-128 once on each distinct binary.
+// d-cycle>=120 is the default setting; d-cycle>=60 re-slices mcf into the
+// default binary, so both read mcf's kernel row, while matrix gets one
+// re-sliced row. Each kernel is prepared once.
 func TestAblateRunsEachPairOnce(t *testing.T) {
 	var mu sync.Mutex
 	calls := map[[2]string]int{}
 	var log lockedLog
 	opts := DefaultOptions()
-	opts.Kernels = []string{"mcf", "field"}
+	opts.Kernels = []string{"mcf", "matrix"}
 	opts.Log = &log
 	opts.FaultHook = func(kernel, config string) error {
 		mu.Lock()
@@ -143,14 +144,18 @@ func TestAblateRunsEachPairOnce(t *testing.T) {
 				t.Errorf("%s on %s ran %d times, want %d", k, config, got, n)
 			}
 		}
-		if got := calls[[2]string{k + "@d-cycle>=60", "SPEAR-128"}]; got != 1 {
-			t.Errorf("%s@d-cycle>=60 on SPEAR-128 ran %d times, want 1", k, got)
+		wantResliced := 0
+		if k == "matrix" {
+			wantResliced = 1
+		}
+		if got := calls[[2]string{k + "@d-cycle>=60", "SPEAR-128"}]; got != wantResliced {
+			t.Errorf("%s@d-cycle>=60 on SPEAR-128 ran %d times, want %d", k, got, wantResliced)
 		}
 		if got := strings.Count(log.String(), "prepare "+k+"\n"); got != 1 {
 			t.Errorf("%s prepared %d times, want 1:\n%s", k, got, log.String())
 		}
 	}
-	if len(calls) != (len(want)+1)*len(opts.Kernels) {
+	if len(calls) != len(want)*len(opts.Kernels)+1 {
 		t.Errorf("runs = %v", calls)
 	}
 	for _, r := range res {

@@ -163,6 +163,10 @@ func (fa *Faulty) ReadFile(name string) ([]byte, error) {
 	fa.mu.Lock()
 	defer fa.mu.Unlock()
 	fa.adopt(name)
+	if _, err := fa.fs.Stat(name); errors.Is(err, fs.ErrNotExist) {
+		// A missing file fails at open, before any I/O a fault could hit.
+		return nil, err
+	}
 	if kind := fa.decide(OpRead); kind != 0 {
 		return nil, fa.inject(OpRead, kind, name)
 	}

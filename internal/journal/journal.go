@@ -106,7 +106,7 @@ type Record struct {
 var ErrBadRecord = errors.New("journal: malformed record")
 
 // reportKeyPrefix reserves a key namespace for whole-request report
-// records: the completed-report index (internal/store) appends the
+// records: the report store (internal/store) appends the
 // final assembled report of a finished sweep as one more journal record,
 // keyed "report/<request key>", so the report rides the same CRC-framed,
 // fsync'd, quarantine-on-corruption machinery as every run record. Run

@@ -36,8 +36,8 @@ type FsckReport struct {
 	Records, V1, V2 int
 	// Done/Failed/Skipped/InFlight summarize the replayed run states.
 	Done, Failed, Skipped, InFlight int
-	// Reports counts stored whole-request report records (the completed-
-	// report index's entries; excluded from the run-state counts).
+	// Reports counts stored whole-request report records (what the
+	// report store serves; excluded from the run-state counts).
 	Reports int
 	// Bad lists interior records failing framing, checksum, or validity.
 	Bad []Quarantined
@@ -62,7 +62,7 @@ func (r *FsckReport) Summary() string {
 	fmt.Fprintf(&b, "journal %s: %d records (%d v2, %d v1): %d done, %d failed, %d skipped, %d in flight\n",
 		r.Dir, r.Records, r.V2, r.V1, r.Done, r.Failed, r.Skipped, r.InFlight)
 	if r.Reports > 0 {
-		fmt.Fprintf(&b, "  %d stored report(s) in the completed-report index\n", r.Reports)
+		fmt.Fprintf(&b, "  %d stored report record(s)\n", r.Reports)
 	}
 	if r.Torn {
 		fmt.Fprintf(&b, "  torn final record (crash mid-append; its run re-executes on resume)\n")

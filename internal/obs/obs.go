@@ -1,7 +1,7 @@
 // Package obs is the simulator's structured telemetry layer: typed
 // pipeline events, a ring-buffered recorder that costs nothing when
-// disabled, and pluggable writers (JSONL for tooling, a compact binary
-// format for high-volume captures, human-readable text for -trace).
+// disabled, and pluggable writers (JSONL for tooling, human-readable text
+// for -trace).
 //
 // The cycle core emits one Event per interesting micro-architectural
 // occurrence — fetch, dispatch, p-thread extraction, trigger transitions,
@@ -33,8 +33,8 @@ const (
 // the span (e.g. a pipeline stage bucket), Arg carries the accumulated
 // host nanoseconds for the reporting window. Emitted at each
 // per-64K-cycle stage flush and once at end of run. Values 12-15 belonged
-// to retired storage-health kinds; KindSpan keeps 16 so existing binary
-// captures still decode.
+// to retired storage-health kinds; KindSpan keeps 16 so the Kind values
+// stay stable.
 const KindSpan Kind = 16
 
 var kindNames = [...]string{

@@ -75,30 +75,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewBinary(&buf)
-	if err := w.WriteEvents(sampleEvents()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sampleEvents()) {
-		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", got, sampleEvents())
-	}
-}
-
-func TestBinaryRejectsBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("NOTOBS0000 garbage"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-}
-
 func TestKindStringsRoundTrip(t *testing.T) {
 	for k := KindFetch; k <= KindSpan; k++ {
 		if k > KindSessionEnd && k < KindSpan {

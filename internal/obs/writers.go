@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -119,118 +118,6 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		e, err := fromJSON(j)
 		if err != nil {
 			return out, err
-		}
-		out = append(out, e)
-	}
-}
-
-// binaryMagic heads the binary event stream; the trailing digit is the
-// format version.
-var binaryMagic = []byte("SPEAROBS1\n")
-
-// BinaryWriter emits a compact fixed-layout little-endian encoding:
-// magic, then per event cycle u64, seq u64, arg u64, addr u32, pc i32,
-// kind u8, tid u8, flags u8, text length u16, text bytes.
-type BinaryWriter struct {
-	bw     *bufio.Writer
-	c      io.Closer
-	headed bool
-}
-
-// NewBinary wraps w in a binary event writer. If w is an io.Closer it is
-// closed by Close.
-func NewBinary(w io.Writer) *BinaryWriter {
-	bw := &BinaryWriter{bw: bufio.NewWriter(w)}
-	if c, ok := w.(io.Closer); ok {
-		bw.c = c
-	}
-	return bw
-}
-
-func (w *BinaryWriter) WriteEvents(evs []Event) error {
-	if !w.headed {
-		if _, err := w.bw.Write(binaryMagic); err != nil {
-			return err
-		}
-		w.headed = true
-	}
-	var rec [35]byte
-	for _, e := range evs {
-		binary.LittleEndian.PutUint64(rec[0:], e.Cycle)
-		binary.LittleEndian.PutUint64(rec[8:], e.Seq)
-		binary.LittleEndian.PutUint64(rec[16:], e.Arg)
-		binary.LittleEndian.PutUint32(rec[24:], e.Addr)
-		binary.LittleEndian.PutUint32(rec[28:], uint32(e.PC))
-		rec[32] = byte(e.Kind)
-		rec[33] = e.Tid
-		rec[34] = e.Flags
-		if _, err := w.bw.Write(rec[:]); err != nil {
-			return err
-		}
-		text := e.Text
-		if len(text) > 0xFFFF {
-			text = text[:0xFFFF]
-		}
-		var tl [2]byte
-		binary.LittleEndian.PutUint16(tl[:], uint16(len(text)))
-		if _, err := w.bw.Write(tl[:]); err != nil {
-			return err
-		}
-		if _, err := w.bw.WriteString(text); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (w *BinaryWriter) Close() error {
-	err := w.bw.Flush()
-	if w.c != nil {
-		if cerr := w.c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// ReadBinary decodes a binary event stream (the inverse of BinaryWriter).
-func ReadBinary(r io.Reader) ([]Event, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("obs: reading binary header: %w", err)
-	}
-	if string(magic) != string(binaryMagic) {
-		return nil, fmt.Errorf("obs: bad binary magic %q", magic)
-	}
-	var out []Event
-	var rec [35]byte
-	for {
-		if _, err := io.ReadFull(br, rec[:]); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, err
-		}
-		e := Event{
-			Cycle: binary.LittleEndian.Uint64(rec[0:]),
-			Seq:   binary.LittleEndian.Uint64(rec[8:]),
-			Arg:   binary.LittleEndian.Uint64(rec[16:]),
-			Addr:  binary.LittleEndian.Uint32(rec[24:]),
-			PC:    int32(binary.LittleEndian.Uint32(rec[28:])),
-			Kind:  Kind(rec[32]),
-			Tid:   rec[33],
-			Flags: rec[34],
-		}
-		var tl [2]byte
-		if _, err := io.ReadFull(br, tl[:]); err != nil {
-			return out, err
-		}
-		if n := binary.LittleEndian.Uint16(tl[:]); n > 0 {
-			text := make([]byte, n)
-			if _, err := io.ReadFull(br, text); err != nil {
-				return out, err
-			}
-			e.Text = string(text)
 		}
 		out = append(out, e)
 	}

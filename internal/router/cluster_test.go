@@ -33,7 +33,7 @@ import (
 //     the work fails over to the ring successor or resumes on the
 //     restarted owner;
 //  2. reports finished before a kill are served from the restarted
-//     shard's durable index with zero re-execution (X-Spear-Cache: hit);
+//     shard's own journals with zero re-execution (X-Spear-Cache: hit);
 //  3. a corrupted stored report is quarantined and re-executed — never
 //     served — and the re-execution still converges byte-identically.
 

@@ -151,11 +151,12 @@ type Config struct {
 	DataDir string
 	// FS is the filesystem journals live on (nil = the real one).
 	FS iofault.FS
-	// Store is the durable completed-report index (nil = none). Submit
-	// consults it before admitting: a request whose report is already
-	// stored comes back as a done job — report served straight from
-	// disk, zero re-execution — and every completed job's report is
-	// persisted into it, so doneness survives a process restart.
+	// Store reads and writes finished reports in the job journals (nil =
+	// none). Submit consults it before admitting: a request whose report
+	// is already stored comes back as a done job — report served
+	// straight from disk, zero re-execution — and every completed job's
+	// report is persisted into it, so doneness survives a process
+	// restart.
 	Store *store.Index
 	// Perf receives scheduler counters and journal I/O metrics. It is
 	// deliberately NOT handed to the engine: per-run timing in reports
@@ -324,7 +325,7 @@ func (s *Scheduler) Submit(req Request) (job *Job, coalesced bool, err error) {
 
 // storeHitLocked consults the completed-report store for a request
 // whose report is already durable — the restart path, where the jobs
-// map is empty but the index knows the work is done. On a hit it
+// map is empty but the job's journal holds its report. On a hit it
 // materializes a done job (cacheHit=true) carrying the stored bytes,
 // so the transport serves them without re-admitting anything. The
 // consult runs even while draining: serving a finished report is a
@@ -335,7 +336,7 @@ func (s *Scheduler) storeHitLocked(id string, req Request) *Job {
 	if s.cfg.Store == nil {
 		return nil
 	}
-	raw, entry, err := s.cfg.Store.Get(id)
+	raw, completed, err := s.cfg.Store.Get(id)
 	if err != nil {
 		return nil
 	}
@@ -349,7 +350,7 @@ func (s *Scheduler) storeHitLocked(id string, req Request) *Job {
 	job.report = rep
 	job.raw = raw
 	job.cacheHit = true
-	job.started, job.finished = entry.Completed, entry.Completed
+	job.started, job.finished = completed, completed
 	job.done = make(chan struct{})
 	close(job.done)
 	s.jobs[id] = job
@@ -458,17 +459,10 @@ func (s *Scheduler) execute(job *Job) {
 		defer cancel()
 	}
 
-	spec := JournalSpec{Perf: s.cfg.Perf}
-	if dir := s.JournalDir(job.Req); dir != "" {
-		fsys := s.cfg.FS
-		if fsys == nil {
-			fsys = iofault.OS()
-		}
-		// Resume iff a previous incarnation left a journal: that is the
-		// crash-recovery path, and it must converge byte-identically.
-		_, statErr := fsys.Stat(filepath.Join(dir, journal.FileName))
-		spec.Dir, spec.Resume, spec.FS = dir, statErr == nil, fsys
-	}
+	// Always resume: a journal a previous incarnation left is the
+	// crash-recovery path, which must converge byte-identically, and
+	// resuming a missing journal starts a fresh one.
+	spec := JournalSpec{Dir: s.JournalDir(job.Req), Resume: true, FS: s.cfg.FS, Perf: s.cfg.Perf}
 
 	rep, stats, err := Exec(ctx, s.eng, job.Req, spec)
 

@@ -9,7 +9,7 @@ import (
 	"spear/internal/store"
 )
 
-// openIndex opens a completed-report index over the scheduler data dir.
+// openIndex opens the report store over the scheduler data dir.
 func openIndex(t *testing.T, dir string) *store.Index {
 	t.Helper()
 	ix, err := store.Open(store.Config{Dir: dir})
@@ -19,9 +19,9 @@ func openIndex(t *testing.T, dir string) *store.Index {
 	return ix
 }
 
-// TestDoneReportPersisted pins the write half of the durable index: a
+// TestDoneReportPersisted pins the write half of the report store: a
 // completed job's report is appended to its own run journal as a report
-// record, and a fresh index opened over the same dir serves exactly the
+// record, and a fresh store opened over the same dir serves exactly the
 // bytes the job produced.
 func TestDoneReportPersisted(t *testing.T) {
 	dir := t.TempDir()
@@ -52,10 +52,9 @@ func TestDoneReportPersisted(t *testing.T) {
 	}
 }
 
-// TestStoreRestartServesDoneWithoutReexecution is the satellite fix
-// pinned as a test: before the index, a restarted speard re-ran jobs it
-// had already finished. Now a fresh scheduler over the same data dir
-// answers the identical resubmission from the store — done snapshot,
+// TestStoreRestartServesDoneWithoutReexecution: a restarted speard must
+// not re-run jobs it had already finished. A fresh scheduler over the
+// same data dir answers the identical resubmission from the store — done snapshot,
 // cache-hit marker, byte-identical report — without invoking the
 // engine at all, even while draining.
 func TestStoreRestartServesDoneWithoutReexecution(t *testing.T) {

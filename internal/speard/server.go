@@ -17,7 +17,6 @@
 //	                            spearbench -json (409 while live)
 //	GET  /v1/jobs/{id}/events   SSE job lifecycle + journal progress
 //	GET  /v1/progress           scheduler-wide progress aggregate
-//	GET  /v1/progress/events    SSE progress stream (?interval_ms=)
 //	GET  /healthz               process liveness (always 200)
 //	GET  /readyz                admission readiness (503 while draining)
 //	GET  /metrics               perf registry snapshot
@@ -69,7 +68,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/report", s.handleReport)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	mux.HandleFunc("GET /v1/progress", s.handleProgress)
-	mux.HandleFunc("GET /v1/progress/events", s.handleProgressEvents)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -281,27 +279,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			event = "done"
 		}
 		if err := sseEvent(w, fl, event, snap); err != nil || event == "done" {
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-tick.C:
-		}
-	}
-}
-
-// handleProgressEvents streams the scheduler-wide aggregate forever (or
-// until the client hangs up).
-func (s *Server) handleProgressEvents(w http.ResponseWriter, r *http.Request) {
-	fl := sse(w)
-	if fl == nil {
-		return
-	}
-	tick := time.NewTicker(s.sseInterval(r))
-	defer tick.Stop()
-	for {
-		if err := sseEvent(w, fl, "progress", s.Sched.Progress()); err != nil {
 			return
 		}
 		select {

@@ -30,6 +30,24 @@ func torturePlan(seed int64) iofault.Plan {
 	}
 }
 
+// waitReached blocks until the engine hook signals the kill point. A job
+// that settles first (say, an injected fault failed its journal open)
+// never gets there, so the test fails instead of blocking forever.
+func waitReached(t *testing.T, reached <-chan struct{}, job *sched.Job) {
+	t.Helper()
+	settled := make(chan struct{})
+	go func() {
+		_ = job.Wait(context.Background())
+		close(settled)
+	}()
+	select {
+	case <-reached:
+	case <-settled:
+		snap := job.Snapshot()
+		t.Fatalf("job settled before the kill point: %s %s", snap.State, snap.Error)
+	}
+}
+
 // TestTortureKillRestartResubmit is the server-level acceptance battery:
 // for each seeded fault plan, a sweep is submitted to a scheduler whose
 // journal lives on a fault-injecting filesystem, the server is SIGKILLed
@@ -90,7 +108,7 @@ func TestTortureKillRestartResubmit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			<-reached
+			waitReached(t, reached, job)
 			s1.Kill() // SIGKILL: no drain, no grace
 			// Power loss: the directory rewinds to its durable image
 			// (possibly with a torn tail); everything unsynced vanishes.
@@ -184,7 +202,7 @@ func TestTortureCrashBeforeAnyDurableRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-reached // the very first run is about to execute; nothing terminal yet
+	waitReached(t, reached, job) // the very first run is about to execute; nothing terminal yet
 	s1.Kill()
 	if err := fa.Crash(); err != nil {
 		t.Fatal(err)

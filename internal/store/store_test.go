@@ -35,21 +35,21 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err := ix.Put("aaaa", want, time.Unix(100, 0)); err != nil {
 		t.Fatal(err)
 	}
-	got, e, err := ix.Get("aaaa")
+	got, completed, err := ix.Get("aaaa")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("Get = %q, want %q", got, want)
 	}
-	if e.Bytes != len(want) || !e.Completed.Equal(time.Unix(100, 0)) {
-		t.Errorf("entry = %+v", e)
+	if !completed.Equal(time.Unix(100, 0)) {
+		t.Errorf("completed = %v, want %v", completed, time.Unix(100, 0))
 	}
 
-	// A fresh index over the same dir re-discovers the report from disk.
+	// A fresh store over the same dir reads the report from disk.
 	ix2 := mustOpen(t, Config{Dir: dir})
 	if ix2.Len() != 1 {
-		t.Fatalf("reopened index has %d entries, want 1", ix2.Len())
+		t.Fatalf("reopened store counts %d reports, want 1", ix2.Len())
 	}
 	got2, _, err := ix2.Get("aaaa")
 	if err != nil || !bytes.Equal(got2, want) {
@@ -105,53 +105,69 @@ func appendRunRecord(t *testing.T, dir, key string) {
 	}
 }
 
+// TestOpenReadsNoJournal: Open and Len never repair a journal. Damage
+// is found by the first Get of its key, which quarantines the bit-flipped
+// report record to the sidecar, counts and logs it, and serves nothing.
+func TestOpenReadsNoJournal(t *testing.T) {
+	dir := t.TempDir()
+	if err := mustOpen(t, Config{Dir: dir}).Put("abcd", testReport("x"), time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	corruptReportRecord(t, dir, "abcd")
+	appendRunRecord(t, dir, "abcd")
+
+	reg := perf.NewRegistry()
+	var log bytes.Buffer
+	ix := mustOpen(t, Config{Dir: dir, Perf: reg, Log: &log})
+	if ix.Len() != 0 {
+		t.Fatalf("corrupt report counted: Len = %d", ix.Len())
+	}
+	side := filepath.Join(dir, "abcd"+DirSuffix, journal.QuarantineName)
+	if _, err := os.Stat(side); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Open or Len touched the journal: sidecar stat = %v", err)
+	}
+	if got := reg.Counter("store.quarantined").Value(); got != 0 {
+		t.Fatalf("store.quarantined = %d after Open, want 0", got)
+	}
+
+	got, _, err := ix.Get("abcd")
+	if !errors.Is(err, ErrDamaged) {
+		t.Fatalf("Get on corrupt record = %v, want ErrDamaged", err)
+	}
+	if got != nil {
+		t.Fatalf("corrupt report served: %q", got)
+	}
+	if st, err := os.Stat(side); err != nil || st.Size() == 0 {
+		t.Errorf("quarantine sidecar missing or empty: %v", err)
+	}
+	if got := reg.Counter("store.quarantined").Value(); got != 1 {
+		t.Errorf("store.quarantined = %d, want 1", got)
+	}
+	if !strings.Contains(log.String(), "abcd: 1 corrupt record(s) quarantined") {
+		t.Errorf("log %q does not report the quarantine", log.String())
+	}
+}
+
 // TestCorruptReportQuarantinedNotServed is the integrity acceptance
 // shape: a bit-flipped report record is quarantined to the sidecar and
-// reported as damage — never served — both when the corruption is found
-// at Open and when it lands between an Open and a Get.
+// reported as damage — never served — when the corruption lands after
+// the report was stored and served.
 func TestCorruptReportQuarantinedNotServed(t *testing.T) {
-	t.Run("found-at-open", func(t *testing.T) {
-		dir := t.TempDir()
-		reg := perf.NewRegistry()
-		ix := mustOpen(t, Config{Dir: dir})
-		if err := ix.Put("abcd", testReport("x"), time.Time{}); err != nil {
-			t.Fatal(err)
-		}
-		corruptReportRecord(t, dir, "abcd")
-		appendRunRecord(t, dir, "abcd")
-
-		var log bytes.Buffer
-		ix2 := mustOpen(t, Config{Dir: dir, Perf: reg, Log: &log})
-		if got := reg.Counter("store.quarantined").Value(); got != 1 {
-			t.Errorf("store.quarantined = %d, want 1", got)
-		}
-		if !strings.Contains(log.String(), "abcd: 1 corrupt record(s) quarantined") {
-			t.Errorf("log %q does not report the quarantine", log.String())
-		}
-		if ix2.Len() != 0 {
-			t.Fatalf("corrupt report indexed: %d entries", ix2.Len())
-		}
-		if _, _, err := ix2.Get("abcd"); err == nil {
-			t.Fatal("corrupt report served")
-		}
-		side := filepath.Join(dir, "abcd"+DirSuffix, journal.QuarantineName)
-		if st, err := os.Stat(side); err != nil || st.Size() == 0 {
-			t.Errorf("quarantine sidecar missing or empty: %v", err)
-		}
-	})
-
 	t.Run("found-at-get", func(t *testing.T) {
 		dir := t.TempDir()
 		ix := mustOpen(t, Config{Dir: dir})
 		if err := ix.Put("abcd", testReport("y"), time.Time{}); err != nil {
 			t.Fatal(err)
 		}
-		corruptReportRecord(t, dir, "abcd") // after Open indexed it
+		if _, _, err := ix.Get("abcd"); err != nil {
+			t.Fatal(err)
+		}
+		corruptReportRecord(t, dir, "abcd") // after a Get served it
 		appendRunRecord(t, dir, "abcd")
 		if _, _, err := ix.Get("abcd"); !errors.Is(err, ErrDamaged) {
 			t.Fatalf("Get on corrupt record = %v, want ErrDamaged", err)
 		}
-		// The entry dropped out; the next Get is a plain miss.
+		// The record is in the sidecar now; the next Get is a plain miss.
 		if _, _, err := ix.Get("abcd"); !errors.Is(err, ErrNotFound) {
 			t.Errorf("Get after quarantine = %v, want ErrNotFound", err)
 		}
@@ -169,7 +185,7 @@ func TestCorruptReportQuarantinedNotServed(t *testing.T) {
 		corruptReportRecord(t, dir, "abcd") // report record is the final line
 		ix2 := mustOpen(t, Config{Dir: dir})
 		if ix2.Len() != 0 {
-			t.Fatalf("torn-tail report indexed: %d entries", ix2.Len())
+			t.Fatalf("torn-tail report counted: Len = %d", ix2.Len())
 		}
 		if _, _, err := ix2.Get("abcd"); err == nil {
 			t.Fatal("torn-tail report served")
@@ -178,7 +194,7 @@ func TestCorruptReportQuarantinedNotServed(t *testing.T) {
 }
 
 // TestDirWithoutReportNotIndexed: a journal directory holding only run
-// records (a live or resumable job) is invisible to the index.
+// records (a live or resumable job) holds no stored report.
 func TestDirWithoutReportNotIndexed(t *testing.T) {
 	dir := t.TempDir()
 	w, err := journal.Open(filepath.Join(dir, "beef"+DirSuffix), true)
@@ -193,7 +209,7 @@ func TestDirWithoutReportNotIndexed(t *testing.T) {
 	}
 	ix := mustOpen(t, Config{Dir: dir})
 	if ix.Len() != 0 {
-		t.Errorf("report-less dir indexed: %d entries", ix.Len())
+		t.Errorf("report-less dir counted: Len = %d", ix.Len())
 	}
 	if _, _, err := ix.Get("beef"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get = %v, want ErrNotFound", err)
