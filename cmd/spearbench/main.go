@@ -10,7 +10,6 @@
 //	spearbench -json -journal sweep.journal > report.json
 //	spearbench -json -journal sweep.journal -resume > report.json
 //	spearbench -fsck -journal sweep.journal
-//	spearbench -compact -journal sweep.journal
 //	spearbench -json -autoprofile profiles/ > report.json
 //	spearbench -json -debug-addr localhost:6060 -journal sweep.journal > report.json
 //
@@ -49,10 +48,8 @@
 // immediate exit.
 //
 // Journal maintenance: -fsck walks the journal and reports per-record
-// integrity without modifying anything; -compact folds the journal down
-// to each run's latest record (rewriting atomically, quarantining any
-// damage along the way), the upgrade path from v1 to checksummed v2
-// records.
+// integrity without modifying anything. A -resume over a damaged journal
+// is what heals it.
 //
 // Exit codes:
 //
@@ -132,7 +129,6 @@ func main() {
 	journalDir := flag.String("journal", "", "write-ahead journal directory for crash-safe sweeps (with -json/-csv)")
 	resume := flag.Bool("resume", false, "resume from the journal in -journal: replay completed runs, re-execute in-flight ones")
 	fsck := flag.Bool("fsck", false, "verify per-record integrity of the journal in -journal and exit (5 on damage)")
-	compact := flag.Bool("compact", false, "fold the journal in -journal down to each run's latest record and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	autoProf := flag.String("autoprofile", "", "with -json/-csv: after the sweep, re-run its slowest pair under the CPU profiler and write cpu.pprof/heap.pprof into this directory")
@@ -167,8 +163,8 @@ written); a second forces an immediate exit.
 		os.Exit(exitErr)
 	}()
 
-	if *fsck || *compact {
-		if err := maintain(*journalDir, *fsck, *compact); err != nil {
+	if *fsck {
+		if err := runFsck(*journalDir); err != nil {
 			fmt.Fprintln(os.Stderr, "spearbench:", err)
 			if errors.Is(err, errDamaged) {
 				os.Exit(exitDamaged)
@@ -198,37 +194,19 @@ written); a second forces an immediate exit.
 	}
 }
 
-// maintain handles the journal maintenance modes (-fsck, -compact),
-// which run without building a kernel suite.
-func maintain(dir string, fsck, compact bool) error {
+// runFsck walks the journal in dir (-fsck) without building a kernel
+// suite.
+func runFsck(dir string) error {
 	if dir == "" {
-		return fmt.Errorf("-fsck/-compact require -journal <dir>")
+		return fmt.Errorf("-fsck requires -journal <dir>")
 	}
-	if fsck && compact {
-		return fmt.Errorf("-fsck and -compact are mutually exclusive")
-	}
-	if fsck {
-		rep, err := journal.Fsck(nil, dir)
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep.Summary())
-		if !rep.Clean() {
-			return errDamaged
-		}
-		return nil
-	}
-	stats, err := journal.Compact(nil, dir)
+	rep, err := journal.Fsck(nil, dir)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("journal %s: compacted %d records (%d bytes) to %d records (%d bytes)\n",
-		dir, stats.RecordsBefore, stats.BytesBefore, stats.RecordsAfter, stats.BytesAfter)
-	if stats.Quarantined > 0 {
-		fmt.Printf("  %d corrupt records quarantined to %s\n", stats.Quarantined, journal.QuarantineName)
-	}
-	if stats.TornTrimmed {
-		fmt.Println("  torn final record dropped")
+	fmt.Print(rep.Summary())
+	if !rep.Clean() {
+		return errDamaged
 	}
 	return nil
 }

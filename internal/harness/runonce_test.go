@@ -5,9 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -198,8 +195,8 @@ func TestViewsOfInterruptedSweepMarkSkips(t *testing.T) {
 
 // TestResumeReplaysRetiredRecordKinds resumes a journal holding records
 // that only older builds wrote — a done record of two attempts and a
-// circuit-breaker skip — and checks they still replay into the report
-// and its v2 wire format unchanged.
+// circuit-breaker skip, framed as those builds framed them — and checks
+// they still replay into the report and its v2 wire format unchanged.
 func TestResumeReplaysRetiredRecordKinds(t *testing.T) {
 	opts := tinyOptions()
 	executed := 0
@@ -217,10 +214,19 @@ func TestResumeReplaysRetiredRecordKinds(t *testing.T) {
 	}
 	const reason = "circuit breaker tripped after 3 consecutive failures"
 	dir := t.TempDir()
-	lines := fmt.Sprintf(`{"status":"done","key":%q,"kernel":"tiny","config":%q,"attempts":2,"result":%s}
-{"status":"skipped","key":%q,"kernel":"tiny","config":%q,"attempts":3,"skip":%q}
-`, s.runKey(p, base), base.Name, resJSON, s.runKey(p, spear), spear.Name, reason)
-	if err := os.WriteFile(filepath.Join(dir, journal.FileName), []byte(lines), 0o644); err != nil {
+	w, err := journal.OpenConfig(dir, false, journal.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []journal.Record{
+		{Status: journal.StatusDone, Key: s.runKey(p, base), Kernel: "tiny", Config: base.Name, Attempts: 2, Result: resJSON},
+		{Status: journal.StatusSkipped, Key: s.runKey(p, spear), Kernel: "tiny", Config: spear.Name, Attempts: 3, Skip: reason},
+	} {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 

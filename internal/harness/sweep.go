@@ -49,9 +49,8 @@ func (s *Suite) runKey(p *Prepared, cfg cpu.Config) string {
 
 // SweepJournal couples a sweep to its write-ahead journal directory.
 type SweepJournal struct {
-	w      *journal.Writer
-	state  *journal.State
-	repair *journal.RepairStats
+	w     *journal.Writer
+	state *journal.State
 }
 
 // SweepJournalConfig tunes how a sweep's journal is opened. The zero
@@ -73,10 +72,10 @@ func OpenSweepJournal(dir string, resume bool) (*SweepJournal, error) {
 	return OpenSweepJournalConfig(dir, resume, SweepJournalConfig{})
 }
 
-// OpenSweepJournalConfig opens the journal in dir. With resume, the
-// journal first self-heals — corrupt records are quarantined to the
-// sidecar and a torn final record is trimmed — then the survivors are
-// replayed and completed runs are served from them; quarantined and torn
+// OpenSweepJournalConfig opens the journal in dir. With resume, one
+// journal.Repair pass self-heals it — corrupt records are quarantined to
+// the sidecar and a torn final record is trimmed — and replays the
+// survivors, from which completed runs are served; quarantined and torn
 // runs simply re-execute, so a damaged journal is degraded, never fatal.
 // Without resume any existing journal is discarded and the sweep starts
 // fresh.
@@ -85,15 +84,10 @@ func OpenSweepJournalConfig(dir string, resume bool, cfg SweepJournalConfig) (*S
 	if fsys == nil {
 		fsys = iofault.OS()
 	}
-	j := &SweepJournal{state: journal.Replay(nil, false), repair: &journal.RepairStats{}}
+	j := &SweepJournal{state: journal.Replay(nil, false)}
 	if resume {
 		var err error
-		j.repair, err = journal.Repair(fsys, dir)
-		if err != nil {
-			return nil, err
-		}
-		j.state, err = journal.LoadFS(fsys, dir)
-		if err != nil {
+		if j.state, err = journal.Repair(fsys, dir); err != nil {
 			return nil, err
 		}
 	}
@@ -109,18 +103,15 @@ func OpenSweepJournalConfig(dir string, resume bool, cfg SweepJournalConfig) (*S
 func (j *SweepJournal) Close() error { return j.w.Close() }
 
 // Replayed reports how many terminal records the resumed journal
-// contributed (for progress logging) and whether its tail was torn —
-// either still in the replayed state or already trimmed by the repair
-// pass that ran before replay.
+// contributed (for progress logging) and whether the repair pass trimmed
+// a torn tail.
 func (j *SweepJournal) Replayed() (terminal int, torn bool) {
-	return len(j.state.Terminal), j.state.Torn || j.repair.TornTrimmed
+	return len(j.state.Terminal), j.state.Torn
 }
 
 // Quarantined reports how many corrupt records the resume path moved to
-// the quarantine sidecar (or skipped); their runs re-execute.
-func (j *SweepJournal) Quarantined() int {
-	return j.state.Quarantined + j.repair.Quarantined
-}
+// the quarantine sidecar; their runs re-execute.
+func (j *SweepJournal) Quarantined() int { return j.state.Quarantined }
 
 // SweepReportContext simulates every prepared kernel under every
 // configuration, journaling through j when non-nil (nil runs

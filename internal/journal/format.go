@@ -9,19 +9,13 @@ import (
 	"strconv"
 )
 
-// Record framing. The journal is line-oriented with two formats,
-// detected per line:
-//
-//	v1: a bare JSON object — `{"status":...}` — with no integrity check
-//	    beyond JSON well-formedness. The seed format; readable forever.
-//	v2: `2 <len> <crc32c> <payload>` — the JSON payload length-framed in
-//	    decimal and checksummed with CRC32-Castagnoli (8 hex digits), so
-//	    truncation, bit flips, and spliced garbage are all detected per
-//	    record instead of silently replaying wrong results.
-//
-// A fresh journal starts with the Header line; the header carries no
-// data and old readers that predate it never see one (new files also use
-// v2 frames they could not parse anyway).
+// Record framing. The journal is line-oriented: a fresh journal starts
+// with the Header line, and every record is one v2 frame,
+// `2 <len> <crc32c> <payload>` — the JSON payload length-framed in
+// decimal and checksummed with CRC32-Castagnoli (8 hex digits), so
+// truncation, bit flips, and spliced garbage are all detected per record
+// instead of silently replaying wrong results. Any other line, a bare
+// JSON object included, is damage.
 
 // Header is the first line of a freshly created journal file.
 const Header = "spear-journal/2"
@@ -85,35 +79,22 @@ func parseFrame(line []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// parseLine classifies and decodes one journal line (no newline).
-// version is 1 or 2 for records; header lines return version 0 with a
-// zero Record and nil error.
-func parseLine(line []byte) (rec Record, version int, err error) {
-	if bytes.Equal(line, []byte(Header)) {
-		return Record{}, 0, nil
+// parseLine decodes one record line (no newline).
+func parseLine(line []byte) (rec Record, err error) {
+	if !bytes.HasPrefix(line, []byte("2 ")) {
+		return Record{}, fmt.Errorf("%w: unrecognized line format", ErrBadRecord)
 	}
-	switch {
-	case bytes.HasPrefix(line, []byte("2 ")):
-		payload, perr := parseFrame(line)
-		if perr != nil {
-			return Record{}, 2, fmt.Errorf("%w: %v", ErrBadRecord, perr)
-		}
-		if perr := json.Unmarshal(payload, &rec); perr != nil {
-			return Record{}, 2, fmt.Errorf("%w: %v", ErrBadRecord, perr)
-		}
-		version = 2
-	case len(line) > 0 && line[0] == '{':
-		if perr := json.Unmarshal(line, &rec); perr != nil {
-			return Record{}, 1, fmt.Errorf("%w: %v", ErrBadRecord, perr)
-		}
-		version = 1
-	default:
-		return Record{}, 0, fmt.Errorf("%w: unrecognized line format", ErrBadRecord)
+	payload, err := parseFrame(line)
+	if err != nil {
+		return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}
-	if verr := rec.validate(); verr != nil {
-		return Record{}, version, verr
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}
-	return rec, version, nil
+	if err := rec.validate(); err != nil {
+		return Record{}, err
+	}
+	return rec, nil
 }
 
 // Quarantined is one journal line that failed integrity or validity
@@ -133,16 +114,14 @@ type ScanResult struct {
 	// Recs are the intact records, in file order.
 	Recs []Record
 	// Raw holds each intact record's original line (no newline), aligned
-	// with Recs — Repair and Compact rewrite journals from these so a
-	// rewrite never re-encodes (and risks altering) surviving data.
+	// with Recs — Repair rewrites the journal from these so a rewrite
+	// never re-encodes (and risks altering) surviving data.
 	Raw [][]byte
 	// Bad are the damaged interior lines (quarantine candidates).
 	Bad []Quarantined
 	// Torn reports a damaged final line: the signature of a crash
 	// mid-append, dropped rather than quarantined.
 	Torn bool
-	// V1 and V2 count intact records by format version.
-	V1, V2 int
 }
 
 // Scan reads every line of a journal stream, classifying each as an
@@ -158,10 +137,10 @@ func Scan(r io.Reader) (*ScanResult, error) {
 	last := lastContentLine(lines)
 	for i, line := range lines {
 		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
+		if len(line) == 0 || bytes.Equal(line, []byte(Header)) {
 			continue
 		}
-		rec, version, perr := parseLine(line)
+		rec, perr := parseLine(line)
 		if perr != nil {
 			if i == last {
 				// Torn tail: the crash interrupted the final append.
@@ -171,16 +150,8 @@ func Scan(r io.Reader) (*ScanResult, error) {
 			sr.Bad = append(sr.Bad, Quarantined{Line: i + 1, Data: append([]byte(nil), line...), Err: perr})
 			continue
 		}
-		if version == 0 {
-			continue // header line
-		}
 		sr.Recs = append(sr.Recs, rec)
 		sr.Raw = append(sr.Raw, append([]byte(nil), line...))
-		if version == 1 {
-			sr.V1++
-		} else {
-			sr.V2++
-		}
 	}
 	return sr, nil
 }
@@ -193,22 +164,4 @@ func lastContentLine(lines [][]byte) int {
 		}
 	}
 	return -1
-}
-
-// Decode reads every record from a journal stream with strict interior
-// checking: a final line that is incomplete or unparseable — the
-// signature of a crash mid-append — is dropped and reported through
-// torn, while any other malformed line fails with an error wrapping
-// ErrBadRecord. Resume paths use the lenient LoadFS/Scan instead;
-// Decode is the validation surface (fsck, fuzzing, tests).
-func Decode(r io.Reader) (recs []Record, torn bool, err error) {
-	sr, err := Scan(r)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(sr.Bad) > 0 {
-		b := sr.Bad[0]
-		return nil, false, fmt.Errorf("line %d: %w", b.Line, b.Err)
-	}
-	return sr.Recs, sr.Torn, nil
 }

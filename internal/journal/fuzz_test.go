@@ -6,69 +6,52 @@ import (
 	"testing"
 )
 
-// FuzzDecode asserts the journal readers never panic on arbitrary bytes
-// and fail only with typed errors: whatever a crash, a partial disk
-// write, or a hostile file puts in the journal, the strict reader either
-// recovers records or reports ErrBadRecord — and the lenient Scan never
-// fails at all, classifying every line as a record, interior damage, or
-// a torn tail.
+// FuzzDecode asserts the journal reader never panics on arbitrary bytes
+// and never fails: whatever a crash, a partial disk write, or a hostile
+// file puts in the journal, Scan classifies every line as an intact
+// record, interior damage wrapping ErrBadRecord, or a torn tail — and
+// every intact record validates and re-parses from the raw line Repair
+// would keep.
 func FuzzDecode(f *testing.F) {
+	// Bare-JSON seeds: no frame, so every such line is damage.
 	f.Add([]byte(`{"status":"started","key":"a"}` + "\n"))
 	f.Add([]byte(`{"status":"done","key":"a","attempts":2,"result":{"Cycles":1}}` + "\n"))
 	f.Add([]byte(`{"status":"started","key":"a"}` + "\n" + `{"status":"done","ke`))
 	f.Add([]byte("garbage\n"))
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte{0xff, 0xfe, 0x00})
-	// v2 seeds: header, intact frames, damaged length/checksum/payload
-	// fields, truncated frames, and v1/v2 mixtures.
+	// Framed seeds: header, intact frames, damaged length/checksum/payload
+	// fields, truncated frames, and frames mixed with bare JSON.
 	f.Add([]byte(Header + "\n"))
 	f.Add(frame([]byte(`{"status":"started","key":"a"}`)))
 	f.Add([]byte(Header + "\n" + string(frame([]byte(`{"status":"done","key":"a","result":{"Cycles":1}}`)))))
-	f.Add([]byte(`{"status":"started","key":"v1"}` + "\n" + string(frame([]byte(`{"status":"done","key":"v2"}`)))))
+	f.Add([]byte(`{"status":"started","key":"bare"}` + "\n" + string(frame([]byte(`{"status":"done","key":"framed"}`)))))
 	f.Add([]byte("2 30 00000000 {\"status\":\"started\",\"key\":\"a\"}\n")) // wrong checksum
 	f.Add([]byte("2 999 deadbeef {\"status\":\"started\"}\n"))              // wrong length
 	f.Add([]byte("2 -1 deadbeef x\n"))
 	f.Add(frame([]byte(`{"status":"started","key":"a"}`))[:20]) // torn frame
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, torn, err := Decode(bytes.NewReader(data))
+		sr, err := Scan(bytes.NewReader(data))
 		if err != nil {
-			if !errors.Is(err, ErrBadRecord) {
-				t.Errorf("untyped decode error: %v", err)
-			}
-		} else {
-			// Every surviving record must be replayable and valid.
-			for _, r := range recs {
-				if verr := r.validate(); verr != nil {
-					t.Errorf("decoded invalid record %+v: %v", r, verr)
-				}
-			}
-			Replay(recs, torn)
-		}
-
-		// The lenient reader accepts anything, and agrees with Decode on
-		// the intact records whenever Decode succeeds.
-		sr, serr := Scan(bytes.NewReader(data))
-		if serr != nil {
-			t.Fatalf("Scan failed on fuzz input: %v", serr)
-		}
-		if err == nil {
-			if len(sr.Recs) != len(recs) || sr.Torn != torn {
-				t.Errorf("Scan (%d recs, torn=%v) disagrees with Decode (%d recs, torn=%v)",
-					len(sr.Recs), sr.Torn, len(recs), torn)
-			}
+			t.Fatalf("Scan failed on fuzz input: %v", err)
 		}
 		if len(sr.Raw) != len(sr.Recs) {
-			t.Errorf("Scan Raw/Recs misaligned: %d vs %d", len(sr.Raw), len(sr.Recs))
+			t.Fatalf("Scan Raw/Recs misaligned: %d vs %d", len(sr.Raw), len(sr.Recs))
 		}
-		for _, r := range sr.Recs {
+		for i, r := range sr.Recs {
 			if verr := r.validate(); verr != nil {
 				t.Errorf("Scan produced invalid record %+v: %v", r, verr)
 			}
-		}
-		for _, b := range sr.Bad {
-			if b.Err == nil || len(b.Data) == 0 {
-				t.Errorf("quarantined line without error or data: %+v", b)
+			again, perr := parseLine(sr.Raw[i])
+			if perr != nil || again.Key != r.Key || again.Status != r.Status {
+				t.Errorf("raw line %q does not re-parse to %+v: %+v, %v", sr.Raw[i], r, again, perr)
 			}
 		}
+		for _, b := range sr.Bad {
+			if !errors.Is(b.Err, ErrBadRecord) || len(b.Data) == 0 {
+				t.Errorf("quarantined line without typed error or data: %+v", b)
+			}
+		}
+		Replay(sr.Recs, sr.Torn)
 	})
 }

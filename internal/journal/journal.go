@@ -9,22 +9,17 @@
 // in-flight runs re-execute, and the final report is byte-identical to
 // what an uninterrupted sweep would have produced.
 //
-// The file is line-oriented with two record formats, detected per line:
-//
-//	v1 ("spear-journal/1"): one bare JSON object per line — the seed
-//	format, readable forever.
-//	v2 ("spear-journal/2"): "2 <len> <crc32c> <json>" — the JSON payload
-//	is length-framed and checksummed (CRC32-Castagnoli), so torn tails,
-//	bit flips, and any other media damage are detected per record.
-//
-// New journals carry a "spear-journal/2" header line and append v2
-// frames; appends to a v1 file also use v2 frames (the reader mixes
-// freely). Damage is contained, never fatal: a malformed final line is a
-// torn append and is dropped, any other damaged record is quarantined —
-// skipped by the lenient reader, and moved to a ".quarantine" sidecar by
-// Repair so the store self-heals while preserving the evidence. All I/O
-// goes through an internal/iofault filesystem, so every failure mode the
-// package claims to survive is injectable and deterministic in tests.
+// The file is line-oriented: a "spear-journal/2" header line, then one
+// "2 <len> <crc32c> <json>" frame per record — the JSON payload is
+// length-framed and checksummed (CRC32-Castagnoli), so torn tails, bit
+// flips, and any other media damage are detected per record. Damage is
+// contained, never fatal: a malformed final line is a torn append and is
+// dropped, any other damaged line is quarantined — skipped by the
+// lenient reader, and moved to a ".quarantine" sidecar by Repair, the
+// one recovery pass a resume makes, so the store self-heals while
+// preserving the evidence. All I/O goes through an internal/iofault
+// filesystem, so every failure mode the package claims to survive is
+// injectable and deterministic in tests.
 package journal
 
 import (
@@ -96,8 +91,8 @@ type Record struct {
 	// T is the wall-clock append time (Unix nanoseconds), stamped by
 	// Append when zero. Pairing a key's started and terminal stamps gives
 	// per-run durations; Replay aggregates them for progress/ETA views.
-	// Absent from records written by older builds (v1 or early v2), which
-	// replay fine — the aggregates just stay empty.
+	// Absent from records written by older builds, which replay fine —
+	// the aggregates just stay empty.
 	T int64 `json:"t,omitempty"`
 }
 
@@ -121,15 +116,6 @@ func ReportKey(requestKey string) string { return reportKeyPrefix + requestKey }
 // run. Progress summaries and fsck run-state counts exclude report
 // records — they describe the sweep's runs, not its cached artifact.
 func IsReportKey(key string) bool { return strings.HasPrefix(key, reportKeyPrefix) }
-
-// RequestKeyOf returns the request key a report record indexes ("" if
-// key is not a report key).
-func RequestKeyOf(key string) string {
-	if !IsReportKey(key) {
-		return ""
-	}
-	return key[len(reportKeyPrefix):]
-}
 
 func (r Record) validate() error {
 	if !r.Status.known() {
@@ -463,10 +449,12 @@ type State struct {
 	// InFlight maps keys whose last record is "started": the process died
 	// (or was killed) while they ran, so resume re-executes them.
 	InFlight map[string]Record
-	// Torn records that the final journal line was torn by a crash.
+	// Torn records that the final journal line was torn by a crash (from
+	// Repair: that it trimmed the torn line).
 	Torn bool
-	// Quarantined counts corrupt records the lenient loader skipped;
-	// their runs simply re-execute. Repair moves them to the sidecar.
+	// Quarantined counts corrupt records the lenient loader skipped (from
+	// Repair: the records it moved to the sidecar); their runs simply
+	// re-execute.
 	Quarantined int
 
 	// Timing aggregates from Record.T stamps (all Unix nanoseconds; zero
@@ -521,18 +509,34 @@ func Load(dir string) (*State, error) {
 // State.Quarantined), never fatal — a damaged store is degraded, not
 // lost.
 func LoadFS(fsys iofault.FS, dir string) (*State, error) {
+	sr, err := scanFile(fsys, dir)
+	if err != nil {
+		return nil, err
+	}
+	return sr.replay(), nil
+}
+
+// scanFile reads and scans the journal in dir; a missing file yields a
+// nil result and no error.
+func scanFile(fsys iofault.FS, dir string) (*ScanResult, error) {
 	data, err := fsys.ReadFile(filepath.Join(dir, FileName))
 	if errors.Is(err, fs.ErrNotExist) {
-		return Replay(nil, false), nil
+		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	sr, err := Scan(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
+	return Scan(bytes.NewReader(data))
+}
+
+// replay folds the scanned records into resume state, counting the
+// damaged interior lines as quarantined. A nil result (no journal file)
+// replays to the empty state.
+func (sr *ScanResult) replay() *State {
+	if sr == nil {
+		return Replay(nil, false)
 	}
 	st := Replay(sr.Recs, sr.Torn)
 	st.Quarantined = len(sr.Bad)
-	return st, nil
+	return st
 }

@@ -132,39 +132,51 @@ func TestTornTailRecovery(t *testing.T) {
 	}
 }
 
+// frameLine frames one JSON payload as a journal line without its
+// newline.
+func frameLine(payload string) string {
+	return strings.TrimSuffix(string(frame([]byte(payload))), "\n")
+}
+
+// TestDecodeRejectsInteriorCorruption pins that Scan classifies a bad
+// interior line as damage wrapping ErrBadRecord, whether the frame is
+// garbage or intact around an invalid record.
 func TestDecodeRejectsInteriorCorruption(t *testing.T) {
-	in := `{"status":"started","key":"a"}
-garbage not json
-{"status":"done","key":"a"}
-`
-	if _, _, err := Decode(strings.NewReader(in)); !errors.Is(err, ErrBadRecord) {
-		t.Errorf("interior corruption: err = %v, want ErrBadRecord", err)
-	}
-	// Unknown status mid-file is corruption too.
-	in = `{"status":"exploded","key":"a"}
-{"status":"done","key":"a"}
-`
-	if _, _, err := Decode(strings.NewReader(in)); !errors.Is(err, ErrBadRecord) {
-		t.Errorf("unknown interior status: err = %v, want ErrBadRecord", err)
+	started := frameLine(`{"status":"started","key":"a"}`)
+	done := frameLine(`{"status":"done","key":"a"}`)
+	for name, in := range map[string]string{
+		"garbage": started + "\ngarbage not json\n" + done + "\n",
+		// Unknown status mid-file is corruption too.
+		"unknown status": frameLine(`{"status":"exploded","key":"a"}`) + "\n" + done + "\n",
+	} {
+		sr, err := Scan(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(sr.Bad) != 1 || !errors.Is(sr.Bad[0].Err, ErrBadRecord) || sr.Torn {
+			t.Errorf("%s: bad=%+v torn=%v, want one ErrBadRecord line and no torn tail", name, sr.Bad, sr.Torn)
+		}
 	}
 }
 
 func TestDecodeTornVariants(t *testing.T) {
+	started := frameLine(`{"status":"started","key":"a"}`)
+	done := frameLine(`{"status":"done","key":"a","result":{"Cycles":1}}`)
 	for name, in := range map[string]string{
-		"cut mid-json":      "{\"status\":\"started\",\"key\":\"a\"}\n{\"status\":\"done\",\"ke",
-		"cut mid-json + nl": "{\"status\":\"started\",\"key\":\"a\"}\n{\"status\":\"done\",\"ke\n",
-		"empty final key":   "{\"status\":\"started\",\"key\":\"a\"}\n{\"status\":\"done\",\"key\":\"\"}\n",
+		"cut mid-frame":      started + "\n" + done[:len(done)/2],
+		"cut mid-frame + nl": started + "\n" + done[:len(done)/2] + "\n",
+		"empty final key":    started + "\n" + frameLine(`{"status":"done","key":""}`) + "\n",
 	} {
-		recs, torn, err := Decode(strings.NewReader(in))
+		sr, err := Scan(strings.NewReader(in))
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if !torn {
-			t.Errorf("%s: not reported torn", name)
+		if !sr.Torn || len(sr.Bad) != 0 {
+			t.Errorf("%s: torn=%v bad=%d, want a torn tail and no interior damage", name, sr.Torn, len(sr.Bad))
 		}
-		if len(recs) != 1 || recs[0].Key != "a" {
-			t.Errorf("%s: recovered %+v", name, recs)
+		if len(sr.Recs) != 1 || sr.Recs[0].Key != "a" || sr.Recs[0].validate() != nil {
+			t.Errorf("%s: recovered %+v", name, sr.Recs)
 		}
 	}
 }

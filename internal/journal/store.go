@@ -2,10 +2,7 @@ package journal
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,16 +12,14 @@ import (
 
 // Store maintenance: fsck walks a journal and reports per-record
 // integrity without touching it; Repair moves damaged records to the
-// quarantine sidecar and rewrites the journal atomically; Compact folds
-// the journal down to each run's latest record so a long-lived store —
-// the persistent result cache behind resumable sweeps — does not grow
-// with every superseded record. All rewrites follow the same crash-safe
-// discipline: write to a temp file, fsync it, atomically rename over the
-// journal, then fsync the parent directory.
+// quarantine sidecar, rewrites the journal atomically, and hands back
+// the replayed survivors. The rewrite follows the crash-safe discipline:
+// write to a temp file, fsync it, atomically rename over the journal,
+// then fsync the parent directory.
 
 // QuarantineName is the sidecar file (inside the journal directory)
-// that Repair and Compact move damaged records into: evidence is
-// preserved, the journal itself heals.
+// that Repair moves damaged records into: evidence is preserved, the
+// journal itself heals.
 const QuarantineName = FileName + ".quarantine"
 
 // FsckReport is the integrity walk of one journal directory.
@@ -32,13 +27,11 @@ type FsckReport struct {
 	Dir string
 	// Missing reports that no journal file exists (vacuously clean).
 	Missing bool
-	// Records is the intact-record count; V1/V2 split it by format.
-	Records, V1, V2 int
-	// Done/Failed/Skipped/InFlight summarize the replayed run states.
-	Done, Failed, Skipped, InFlight int
-	// Reports counts stored whole-request report records (what the
-	// report store serves; excluded from the run-state counts).
-	Reports int
+	// Records is the intact-record count.
+	Records int
+	// Runs summarizes the replayed run states, as progress views do
+	// (stored report records count in Runs.Reports, not as runs).
+	Runs Progress
 	// Bad lists interior records failing framing, checksum, or validity.
 	Bad []Quarantined
 	// Torn reports a damaged final record (crash mid-append).
@@ -59,10 +52,10 @@ func (r *FsckReport) Summary() string {
 		fmt.Fprintf(&b, "journal %s: no journal file (nothing to verify)\n", r.Dir)
 		return b.String()
 	}
-	fmt.Fprintf(&b, "journal %s: %d records (%d v2, %d v1): %d done, %d failed, %d skipped, %d in flight\n",
-		r.Dir, r.Records, r.V2, r.V1, r.Done, r.Failed, r.Skipped, r.InFlight)
-	if r.Reports > 0 {
-		fmt.Fprintf(&b, "  %d stored report record(s)\n", r.Reports)
+	fmt.Fprintf(&b, "journal %s: %d records: %d done, %d failed, %d skipped, %d in flight\n",
+		r.Dir, r.Records, r.Runs.Done, r.Runs.Failed, r.Runs.Skipped, len(r.Runs.InFlight))
+	if r.Runs.Reports > 0 {
+		fmt.Fprintf(&b, "  %d stored report record(s)\n", r.Runs.Reports)
 	}
 	if r.Torn {
 		fmt.Fprintf(&b, "  torn final record (crash mid-append; its run re-executes on resume)\n")
@@ -88,36 +81,17 @@ func Fsck(fsys iofault.FS, dir string) (*FsckReport, error) {
 		fsys = iofault.OS()
 	}
 	rep := &FsckReport{Dir: dir}
-	data, err := fsys.ReadFile(filepath.Join(dir, FileName))
-	if errors.Is(err, fs.ErrNotExist) {
-		rep.Missing = true
-		return rep, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	sr, err := Scan(bytes.NewReader(data))
+	sr, err := scanFile(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	rep.Records, rep.V1, rep.V2 = len(sr.Recs), sr.V1, sr.V2
-	rep.Bad, rep.Torn = sr.Bad, sr.Torn
-	st := Replay(sr.Recs, sr.Torn)
-	for _, rec := range st.Terminal {
-		if IsReportKey(rec.Key) {
-			rep.Reports++
-			continue
-		}
-		switch rec.Status {
-		case StatusDone:
-			rep.Done++
-		case StatusFailed:
-			rep.Failed++
-		case StatusSkipped:
-			rep.Skipped++
-		}
+	if sr == nil {
+		rep.Missing = true
+		return rep, nil
 	}
-	rep.InFlight = len(st.InFlight)
+	rep.Records = len(sr.Recs)
+	rep.Bad, rep.Torn = sr.Bad, sr.Torn
+	rep.Runs = sr.replay().Progress()
 	if side, err := fsys.ReadFile(filepath.Join(dir, QuarantineName)); err == nil {
 		rep.Sidecar = len(bytes.Split(bytes.TrimRight(side, "\n"), []byte("\n")))
 		if len(bytes.TrimSpace(side)) == 0 {
@@ -127,52 +101,33 @@ func Fsck(fsys iofault.FS, dir string) (*FsckReport, error) {
 	return rep, nil
 }
 
-// RepairStats reports what Repair changed.
-type RepairStats struct {
-	// Quarantined is how many corrupt records moved to the sidecar.
-	Quarantined int
-	// TornTrimmed reports that a torn final record was dropped.
-	TornTrimmed bool
-	// Rewritten reports that the journal file was rewritten.
-	Rewritten bool
-}
-
-// Repair self-heals the journal in dir: corrupt records are appended to
-// the quarantine sidecar (fsync'd), the journal is rewritten atomically
-// with only its intact records — original bytes preserved verbatim —
-// and a torn tail is dropped. A missing or healthy journal is a no-op.
-// Repair must not run concurrently with a live Writer on the directory.
-func Repair(fsys iofault.FS, dir string) (*RepairStats, error) {
+// Repair self-heals the journal in dir and returns the replayed state
+// of the intact records it kept: corrupt records are appended to the
+// quarantine sidecar (fsync'd) and counted in State.Quarantined, the
+// journal is rewritten atomically with only its intact records —
+// original bytes preserved verbatim — and a torn tail is dropped and
+// reported as State.Torn. A missing or healthy journal is left as it
+// is. Repair must not run concurrently with a live Writer on the
+// directory.
+func Repair(fsys iofault.FS, dir string) (*State, error) {
 	if fsys == nil {
 		fsys = iofault.OS()
 	}
-	stats := &RepairStats{}
-	data, err := fsys.ReadFile(filepath.Join(dir, FileName))
-	if errors.Is(err, fs.ErrNotExist) {
-		return stats, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	sr, err := Scan(bytes.NewReader(data))
+	sr, err := scanFile(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(sr.Bad) == 0 && !sr.Torn {
-		return stats, nil
-	}
-	if len(sr.Bad) > 0 {
-		if err := quarantine(fsys, dir, sr.Bad); err != nil {
+	if sr != nil && (len(sr.Bad) > 0 || sr.Torn) {
+		if len(sr.Bad) > 0 {
+			if err := quarantine(fsys, dir, sr.Bad); err != nil {
+				return nil, err
+			}
+		}
+		if err := rewrite(fsys, dir, sr.Raw); err != nil {
 			return nil, err
 		}
-		stats.Quarantined = len(sr.Bad)
 	}
-	stats.TornTrimmed = sr.Torn
-	if err := rewrite(fsys, dir, sr.Raw); err != nil {
-		return nil, err
-	}
-	stats.Rewritten = true
-	return stats, nil
+	return sr.replay(), nil
 }
 
 // quarantine appends damaged lines to the sidecar, durably.
@@ -237,76 +192,4 @@ func rewrite(fsys iofault.FS, dir string, lines [][]byte) error {
 		return fmt.Errorf("journal: rewrite: %w", err)
 	}
 	return nil
-}
-
-// CompactStats reports what Compact changed.
-type CompactStats struct {
-	RecordsBefore, RecordsAfter int
-	BytesBefore, BytesAfter     int64
-	// Quarantined counts corrupt records moved to the sidecar along the
-	// way (compaction repairs as it goes).
-	Quarantined int
-	// TornTrimmed reports a torn final record was dropped.
-	TornTrimmed bool
-}
-
-// Compact rewrites the journal keeping only each key's latest record —
-// the terminal record for finished runs, the last started record for
-// in-flight ones — so a long-lived result store stops growing with
-// superseded history. Kept records are re-framed as v2 (this is the
-// v1-to-v2 upgrade path); damaged records are quarantined first. The
-// rewrite is atomic and directory-fsync'd. Compact must not run
-// concurrently with a live Writer on the directory.
-func Compact(fsys iofault.FS, dir string) (*CompactStats, error) {
-	if fsys == nil {
-		fsys = iofault.OS()
-	}
-	stats := &CompactStats{}
-	data, err := fsys.ReadFile(filepath.Join(dir, FileName))
-	if errors.Is(err, fs.ErrNotExist) {
-		return stats, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	sr, err := Scan(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	if len(sr.Bad) > 0 {
-		if err := quarantine(fsys, dir, sr.Bad); err != nil {
-			return nil, err
-		}
-		stats.Quarantined = len(sr.Bad)
-	}
-	stats.TornTrimmed = sr.Torn
-	stats.RecordsBefore = len(sr.Recs)
-	stats.BytesBefore = int64(len(data))
-
-	// Keep only the final record per key, in the order those final
-	// records appear — Replay folds to exactly this state.
-	lastIdx := make(map[string]int, len(sr.Recs))
-	for i, rec := range sr.Recs {
-		lastIdx[rec.Key] = i
-	}
-	var lines [][]byte
-	for i, rec := range sr.Recs {
-		if lastIdx[rec.Key] != i {
-			continue
-		}
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return nil, fmt.Errorf("journal: compact: %w", err)
-		}
-		line := frame(payload)
-		lines = append(lines, line[:len(line)-1]) // rewrite adds the newline
-		stats.RecordsAfter++
-	}
-	if err := rewrite(fsys, dir, lines); err != nil {
-		return nil, err
-	}
-	if st, err := fsys.Stat(filepath.Join(dir, FileName)); err == nil {
-		stats.BytesAfter = st.Size()
-	}
-	return stats, nil
 }

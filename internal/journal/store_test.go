@@ -2,8 +2,10 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -76,35 +78,61 @@ func TestV2HeaderAndFrames(t *testing.T) {
 	}
 }
 
-// TestMixedV1V2Journal pins the compatibility promise: a v1-era journal
-// (bare JSON lines, no header) keeps working, and new appends to it are
-// v2 frames that load alongside the old records.
-func TestMixedV1V2Journal(t *testing.T) {
-	dir := t.TempDir()
-	v1 := `{"status":"started","key":"old"}` + "\n" +
-		`{"status":"done","key":"old","result":{"Cycles":3}}` + "\n"
-	if err := os.WriteFile(filepath.Join(dir, FileName), []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	writeJournal(t, dir,
-		Record{Status: StatusStarted, Key: "new"},
-		Record{Status: StatusDone, Key: "new", Result: []byte(`{"Cycles":4}`)},
-	)
-	st, err := Load(dir)
+// TestBareJSONLineIsDamage pins the one record format: a bare JSON
+// object line (the retired v1 encoding) is damage like any unrecognised
+// line — Scan's Bad when interior and Torn when final, quarantined by
+// Repair and flagged by Fsck.
+func TestBareJSONLineIsDamage(t *testing.T) {
+	bare := `{"status":"done","key":"old","result":{"Cycles":3}}`
+	good := frameLine(`{"status":"done","key":"new","result":{"Cycles":4}}`)
+
+	sr, err := Scan(strings.NewReader(Header + "\n" + good + "\n" + bare + "\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"old", "new"} {
-		if rec, ok := st.Terminal[key]; !ok || rec.Status != StatusDone {
-			t.Errorf("key %s missing or non-done in mixed journal: %+v", key, rec)
-		}
+	if !sr.Torn || len(sr.Bad) != 0 || len(sr.Recs) != 1 {
+		t.Errorf("final bare line: torn=%v bad=%d recs=%d, want torn, 0, 1", sr.Torn, len(sr.Bad), len(sr.Recs))
+	}
+
+	content := Header + "\n" + bare + "\n" + good + "\n"
+	sr, err = Scan(strings.NewReader(content))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Torn || len(sr.Bad) != 1 || sr.Bad[0].Line != 2 || !errors.Is(sr.Bad[0].Err, ErrBadRecord) || len(sr.Recs) != 1 {
+		t.Errorf("interior bare line: torn=%v bad=%+v recs=%d, want one ErrBadRecord at line 2 and 1 record", sr.Torn, sr.Bad, len(sr.Recs))
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, FileName), []byte(content), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	rep, err := Fsck(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.V1 != 2 || rep.V2 != 2 {
-		t.Errorf("fsck counts v1=%d v2=%d, want 2 and 2", rep.V1, rep.V2)
+	if rep.Clean() || len(rep.Bad) != 1 || rep.Records != 1 {
+		t.Errorf("fsck on a bare line: %s", rep.Summary())
+	}
+	st, err := Repair(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Quarantined != 1 {
+		t.Errorf("Repair quarantined %d, want 1", st.Quarantined)
+	}
+	if _, ok := st.Terminal["old"]; ok {
+		t.Error("bare JSON record replayed")
+	}
+	if rec, ok := st.Terminal["new"]; !ok || rec.Status != StatusDone {
+		t.Errorf("framed record lost beside the bare line: %+v", st.Terminal)
+	}
+	side, err := os.ReadFile(filepath.Join(dir, QuarantineName))
+	if err != nil || string(side) != bare+"\n" {
+		t.Errorf("sidecar = %q, %v; want the bare line", side, err)
+	}
+	if rep, err := Fsck(nil, dir); err != nil || !rep.Clean() {
+		t.Errorf("fsck after Repair: %v\n%s", err, rep.Summary())
 	}
 }
 
@@ -164,14 +192,13 @@ func TestRepairQuarantinesAndHeals(t *testing.T) {
 		Record{Status: StatusDone, Key: "b", Result: []byte(`{"Cycles":2}`)},
 	)
 	orig := corruptLine(t, dir, 4)
-	_ = orig
 
-	stats, err := Repair(nil, dir)
+	st, err := Repair(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Quarantined != 1 || !stats.Rewritten {
-		t.Errorf("RepairStats = %+v, want 1 quarantined, rewritten", stats)
+	if st.Quarantined != 1 || st.Torn {
+		t.Errorf("Repair state quarantined=%d torn=%v, want 1, false", st.Quarantined, st.Torn)
 	}
 
 	side, err := os.ReadFile(filepath.Join(dir, QuarantineName))
@@ -197,12 +224,23 @@ func TestRepairQuarantinesAndHeals(t *testing.T) {
 	}
 
 	// Repair on a healthy journal is a no-op.
-	stats2, err := Repair(nil, dir)
+	path := filepath.Join(dir, FileName)
+	healed, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats2.Rewritten || stats2.Quarantined != 0 {
-		t.Errorf("second Repair not a no-op: %+v", stats2)
+	st2, err := Repair(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.Quarantined != 0 || st2.Torn {
+		t.Errorf("second Repair not a no-op: quarantined=%d torn=%v", st2.Quarantined, st2.Torn)
+	}
+	if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, healed) {
+		t.Errorf("second Repair changed the journal: %v", err)
+	}
+	if side2, err := os.ReadFile(filepath.Join(dir, QuarantineName)); err != nil || !bytes.Equal(side2, side) {
+		t.Errorf("second Repair changed the sidecar: %v", err)
 	}
 }
 
@@ -218,10 +256,10 @@ func bytesCorrupt(orig []byte) []byte {
 // surviving records: the intact lines appear byte-for-byte unchanged.
 func TestRepairPreservesBytesVerbatim(t *testing.T) {
 	dir := t.TempDir()
-	// A v1 line with field order json.Marshal would not reproduce.
-	v1 := `{"key":"old","status":"done","result":{"Cycles":3}}`
-	content := Header + "\n" + v1 + "\nGARBAGE-INTERIOR\n" +
-		string(bytes.TrimSuffix(frame([]byte(`{"status":"done","key":"new"}`)), []byte("\n"))) + "\n"
+	// A frame whose payload has a field order json.Marshal would not
+	// reproduce.
+	kept := frameLine(`{"key":"old","status":"done","result":{"Cycles":3}}`)
+	content := Header + "\n" + kept + "\nGARBAGE-INTERIOR\n" + frameLine(`{"status":"done","key":"new"}`) + "\n"
 	if err := os.WriteFile(filepath.Join(dir, FileName), []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -232,76 +270,78 @@ func TestRepairPreservesBytesVerbatim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(data, []byte(v1)) {
-		t.Errorf("v1 line re-encoded by Repair:\n%s", data)
+	if !bytes.Contains(data, []byte(kept)) {
+		t.Errorf("intact line re-encoded by Repair:\n%s", data)
 	}
 	if bytes.Contains(data, []byte("GARBAGE")) {
 		t.Error("damaged line survived Repair")
 	}
 }
 
-// TestCompactFoldsToLatestRecords pins compaction: only each key's
-// final record survives, re-framed as v2, and replayed state matches.
-func TestCompactFoldsToLatestRecords(t *testing.T) {
-	dir := t.TempDir()
-	// v1 journal with history: key a done, key b re-run twice, key c in flight.
-	v1 := strings.Join([]string{
-		`{"status":"started","key":"a"}`,
-		`{"status":"done","key":"a","result":{"Cycles":1}}`,
-		`{"status":"started","key":"b"}`,
-		`{"status":"failed","key":"b","error":"boom"}`,
-		`{"status":"started","key":"b"}`,
-		`{"status":"done","key":"b","result":{"Cycles":2}}`,
-		`{"status":"started","key":"c"}`,
-	}, "\n") + "\n"
-	if err := os.WriteFile(filepath.Join(dir, FileName), []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
+// TestRepairReturnsLoadedState pins the one recovery pass: for clean,
+// torn-tail, interior-damaged and missing journals, the State Repair
+// returns replays exactly what a fresh load of the repaired journal
+// finds, and its Quarantined/Torn report what Repair changed.
+func TestRepairReturnsLoadedState(t *testing.T) {
+	recs := []Record{
+		{Status: StatusStarted, Key: "a", T: 100},
+		{Status: StatusDone, Key: "a", Result: []byte(`{"Cycles":1}`), T: 250},
+		{Status: StatusStarted, Key: "b", T: 300},
+		{Status: StatusDone, Key: "b", Result: []byte(`{"Cycles":2}`), T: 420},
+		{Status: StatusStarted, Key: "c", T: 500},
+		{Status: StatusDone, Key: "c", Result: []byte(`{"Cycles":3}`), T: 530},
 	}
-	before, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
+	tests := []struct {
+		name        string
+		damage      func(t *testing.T, dir string)
+		quarantined int
+		torn        bool
+	}{
+		{"clean", func(*testing.T, string) {}, 0, false},
+		{"torn-tail", func(t *testing.T, dir string) {
+			path := filepath.Join(dir, FileName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data[:len(data)-9], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, 0, true},
+		{"interior-damaged", func(t *testing.T, dir string) { corruptLine(t, dir, 3) }, 1, false},
+		{"missing", func(t *testing.T, dir string) {
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+		}, 0, false},
 	}
-
-	stats, err := Compact(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.RecordsBefore != 7 || stats.RecordsAfter != 3 {
-		t.Errorf("compact %d -> %d records, want 7 -> 3", stats.RecordsBefore, stats.RecordsAfter)
-	}
-
-	after, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after.Terminal) != len(before.Terminal) || len(after.InFlight) != len(before.InFlight) {
-		t.Errorf("replayed state changed: before %d/%d, after %d/%d terminal/inflight",
-			len(before.Terminal), len(before.InFlight), len(after.Terminal), len(after.InFlight))
-	}
-	for key, rec := range before.Terminal {
-		got, ok := after.Terminal[key]
-		if !ok || got.Status != rec.Status || !bytes.Equal(got.Result, rec.Result) {
-			t.Errorf("key %s changed by compaction: %+v vs %+v", key, rec, got)
-		}
-	}
-
-	// Compaction is the v1->v2 upgrade path.
-	rep, err := Fsck(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.V1 != 0 || rep.V2 != 3 {
-		t.Errorf("after compact v1=%d v2=%d, want 0 and 3", rep.V1, rep.V2)
-	}
-
-	// Appending to the compacted journal keeps working.
-	writeJournal(t, dir, Record{Status: StatusDone, Key: "c", Result: []byte(`{"Cycles":5}`)})
-	final, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(final.InFlight) != 0 || len(final.Terminal) != 3 {
-		t.Errorf("post-compact append state: %d terminal, %d in flight", len(final.Terminal), len(final.InFlight))
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeJournal(t, dir, recs...)
+			tc.damage(t, dir)
+			st, err := Repair(nil, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Quarantined != tc.quarantined || st.Torn != tc.torn {
+				t.Errorf("Repair quarantined=%d torn=%v, want %d, %v", st.Quarantined, st.Torn, tc.quarantined, tc.torn)
+			}
+			loaded, err := Load(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.Quarantined != 0 || loaded.Torn {
+				t.Errorf("journal still damaged after Repair: quarantined=%d torn=%v", loaded.Quarantined, loaded.Torn)
+			}
+			if !reflect.DeepEqual(st.Terminal, loaded.Terminal) || !reflect.DeepEqual(st.InFlight, loaded.InFlight) ||
+				!reflect.DeepEqual(st.DoneDurations, loaded.DoneDurations) {
+				t.Errorf("Repair state differs from a fresh load:\nrepair: %+v\nload:   %+v", st, loaded)
+			}
+			if tc.name != "missing" && len(st.Terminal) == 0 {
+				t.Error("Repair replayed no records; the comparison proves nothing")
+			}
+		})
 	}
 }
 
@@ -447,7 +487,7 @@ func TestDirFsyncMakesJournalSurviveCrash(t *testing.T) {
 // final content line is torn (dropped), identical damage one line
 // earlier is quarantinable corruption.
 func TestScanTornVsInterior(t *testing.T) {
-	good := string(bytes.TrimSuffix(frame([]byte(`{"status":"started","key":"k"}`)), []byte("\n")))
+	good := frameLine(`{"status":"started","key":"k"}`)
 	tests := []struct {
 		name    string
 		content string

@@ -243,6 +243,18 @@ func reqBody(t *testing.T, req sched.Request) string {
 	return string(data)
 }
 
+// awaitKillPoint waits for a gatedHook to signal its kill point. A job
+// that settles first never gets there, so the wait is bounded: the test
+// fails instead of blocking until the go test timeout.
+func awaitKillPoint(t *testing.T, reached <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-reached:
+	case <-time.After(30 * time.Second):
+		t.Fatal("sweep never reached its kill point (did the job settle first?)")
+	}
+}
+
 // gatedHook returns a FaultHook that blocks the killAfter-th run until
 // release closes, signalling reached — the mid-sweep kill window. After
 // release, every run (on any shard sharing the hook) passes freely.
@@ -293,7 +305,7 @@ func TestClusterKillMidSweepFailsOverByteIdentical(t *testing.T) {
 	}
 	key := snap.ID
 
-	<-reached // the owner is mid-sweep, one run journaled, one blocked
+	awaitKillPoint(t, reached) // the owner is mid-sweep, one run journaled, one blocked
 	owner := c.owner(key)
 	if owner == nil {
 		t.Fatal("no shard owns the submitted key")
@@ -340,7 +352,7 @@ func TestClusterKillRestartResumesOwner(t *testing.T) {
 	json.Unmarshal(body, &snap)
 	key := snap.ID
 
-	<-reached
+	awaitKillPoint(t, reached)
 	owner := c.owner(key)
 	owner.kill()
 	close(release)

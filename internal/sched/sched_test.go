@@ -83,6 +83,24 @@ func waitTerminal(t *testing.T, job *Job) Snapshot {
 	return job.Snapshot()
 }
 
+// waitReached blocks until the engine hook signals the kill point. A job
+// that settles first (say, a journal open failed) never gets there, so
+// the test fails instead of blocking until the go test timeout.
+func waitReached(t *testing.T, reached <-chan struct{}, job *Job) {
+	t.Helper()
+	settled := make(chan struct{})
+	go func() {
+		_ = job.Wait(context.Background())
+		close(settled)
+	}()
+	select {
+	case <-reached:
+	case <-settled:
+		snap := job.Snapshot()
+		t.Fatalf("job settled before the kill point: %s %s", snap.State, snap.Error)
+	}
+}
+
 // fakeEngine is a controllable engine for pure admission tests: each
 // Sweep signals started, then blocks until release closes or the
 // context is cancelled (returning an interrupted report, as the real
@@ -424,7 +442,7 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-reached
+	waitReached(t, reached, job)
 	s1.Kill() // SIGKILL stand-in: cancel everything, no grace
 	close(release)
 	snap := waitTerminal(t, job)

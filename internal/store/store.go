@@ -8,7 +8,7 @@
 // reserved "report/<request key>" namespace (journal.ReportKey). The
 // directory is named by the request key, so the journal *is* the record
 // that the job finished: Get reads <data>/<key>.journal with the same
-// repair and lenient loader resume uses, and a request whose journal
+// one-pass journal.Repair resume uses, and a request whose journal
 // holds an intact report is served straight from disk with zero
 // re-execution and zero admission. Nothing is kept in memory and Open
 // reads no journal, so startup cost does not grow with stored jobs.
@@ -109,28 +109,23 @@ func (ix *Index) logf(format string, args ...any) {
 	}
 }
 
-// scanDir loads key's journal leniently, self-heals damage (corrupt
-// records — including a damaged report record — move to the quarantine
-// sidecar), and returns the intact report payload. ErrNotFound when the
+// scanDir repairs and replays key's journal in one pass (corrupt records
+// — including a damaged report record — move to the quarantine sidecar)
+// and returns the intact report payload. ErrNotFound when the
 // journal carries no intact report record; ErrDamaged when records were
 // quarantined and no intact report survived them.
 func (ix *Index) scanDir(key string) ([]byte, journal.Record, error) {
-	dir := ix.dir(key)
-	repair, err := journal.Repair(ix.fs, dir)
+	st, err := journal.Repair(ix.fs, ix.dir(key))
 	if err != nil {
 		return nil, journal.Record{}, fmt.Errorf("%w: %v", ErrNotFound, err)
 	}
-	if repair.Quarantined > 0 {
-		ix.cQuarantined.Add(uint64(repair.Quarantined))
-		ix.logf("store: %s: %d corrupt record(s) quarantined to %s", shortKey(key), repair.Quarantined, journal.QuarantineName)
-	}
-	st, err := journal.LoadFS(ix.fs, dir)
-	if err != nil {
-		return nil, journal.Record{}, fmt.Errorf("%w: %v", ErrNotFound, err)
+	if st.Quarantined > 0 {
+		ix.cQuarantined.Add(uint64(st.Quarantined))
+		ix.logf("store: %s: %d corrupt record(s) quarantined to %s", shortKey(key), st.Quarantined, journal.QuarantineName)
 	}
 	rec, ok := st.Terminal[journal.ReportKey(key)]
 	if !ok {
-		if repair.Quarantined > 0 {
+		if st.Quarantined > 0 {
 			return nil, journal.Record{}, ErrDamaged
 		}
 		return nil, journal.Record{}, ErrNotFound
