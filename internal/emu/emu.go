@@ -53,8 +53,12 @@ type Machine struct {
 	Halted bool
 	Count  uint64 // retired instructions
 
-	// Hook, when non-nil, observes every retired instruction.
+	// Hook, when non-nil, observes every retired instruction. The
+	// *Event is reused by the next Step and is valid only during the
+	// call: a hook that keeps it must copy it.
 	Hook func(*Event)
+
+	ev Event // the event Step fills and passes to Hook
 }
 
 // New loads the program image into a fresh memory and positions the machine
@@ -126,7 +130,8 @@ func (m *Machine) Step() error {
 		return fmt.Errorf("emu: PC %d out of text range [0,%d)", m.PC, len(m.Prog.Text))
 	}
 	in := m.Prog.Text[m.PC]
-	ev := Event{Seq: m.Count, PC: m.PC, Instr: in, NextPC: m.PC + 1}
+	m.ev = Event{Seq: m.Count, PC: m.PC, Instr: in, NextPC: m.PC + 1}
+	ev := &m.ev
 
 	switch in.Op {
 	case isa.NOP:
@@ -309,7 +314,7 @@ func (m *Machine) Step() error {
 	}
 	m.Count++
 	if m.Hook != nil {
-		m.Hook(&ev)
+		m.Hook(ev)
 	}
 	m.PC = ev.NextPC
 	return nil

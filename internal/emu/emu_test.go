@@ -290,6 +290,40 @@ main:   ld r1, v(r0)
 	}
 }
 
+// TestStepDoesNotAllocate pins that retiring an instruction allocates
+// nothing in steady state: the Event handed to Hook lives in the Machine,
+// and a hook that copies it keeps it off the heap too.
+func TestStepDoesNotAllocate(t *testing.T) {
+	p, err := asm.Assemble("loop.s", `
+        .data
+v:      .space 8
+        .text
+main:   ld   r1, v(r0)
+        addi r1, r1, 1
+        sd   r1, v(r0)
+        beq  r1, r0, main
+        j    main
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(p)
+	var last Event
+	m.Hook = func(ev *Event) { last = *ev }
+	step := func() {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // touch the data page before measuring
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Errorf("Step allocates %.2f times per instruction, want 0", allocs)
+	}
+	if last.Seq != m.Count-1 {
+		t.Errorf("hook saw seq %d, want %d", last.Seq, m.Count-1)
+	}
+}
+
 func TestCVTDLOfNaN(t *testing.T) {
 	m := run(t, `
         .data

@@ -66,7 +66,7 @@ type Result struct {
 	// Deps[consumerPC][producerPC] = weight, collected only while chasing
 	// backwards from d-load misses. This realizes the paper's dynamic
 	// control-flow filtering: producers on paths that do not lead to
-	// misses never acquire weight.
+	// misses never acquire weight. Deps is built once, after the run.
 	Deps map[int]map[int]uint64
 	// LoopDCycles[loopID] is the estimated average cycle cost of one
 	// iteration of the loop (inner loops included), the paper's d-cycle.
@@ -80,9 +80,8 @@ type Result struct {
 // windowEntry is one retired instruction in the dependence window.
 type windowEntry struct {
 	pc    int
-	seq   uint64 // seq+1; 0 means empty
 	nprod int
-	prod  [4]uint64 // producer seq+1 values
+	prod  [4]uint64 // producer seq+1 values, never 0
 }
 
 // Run profiles the program in two functional passes: the first identifies
@@ -112,6 +111,7 @@ func Run(p *prog.Program, g *cfg.Graph, cfgc Config) (*Result, error) {
 func pass1(p *prog.Program, cfgc Config, res *Result) error {
 	hier := mem.NewHierarchy(cfgc.Hierarchy)
 	m := emu.New(p)
+	stats := make([]LoadStat, len(p.Text))
 	m.Hook = func(ev *emu.Event) {
 		if !ev.IsMem {
 			return
@@ -121,11 +121,7 @@ func pass1(p *prog.Program, cfgc Config, res *Result) error {
 		if !isLoad {
 			return
 		}
-		ls := res.LoadStats[ev.PC]
-		if ls == nil {
-			ls = &LoadStat{PC: ev.PC}
-			res.LoadStats[ev.PC] = ls
-		}
+		ls := &stats[ev.PC]
 		ls.Execs++
 		if r.L1Miss {
 			ls.Misses++
@@ -136,7 +132,13 @@ func pass1(p *prog.Program, cfgc Config, res *Result) error {
 	}
 	res.InstrCount = m.Count
 
-	for pc, ls := range res.LoadStats {
+	for pc := range stats {
+		ls := &stats[pc]
+		if ls.Execs == 0 {
+			continue
+		}
+		ls.PC = pc
+		res.LoadStats[pc] = ls
 		if ls.Misses >= cfgc.MissThreshold {
 			res.DLoads = append(res.DLoads, pc)
 		}
@@ -159,7 +161,9 @@ func pass1(p *prog.Program, cfgc Config, res *Result) error {
 }
 
 // pass2 re-runs the program collecting dependence edges on d-load misses,
-// per-instruction execution counts, and loop d-cycles.
+// per-instruction execution counts, and loop d-cycles. Its per-instruction
+// path touches no map and allocates nothing once the stack, the edge
+// lists and the store shadow's pages have grown.
 func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result) error {
 	isDLoad := make([]bool, len(p.Text))
 	for _, pc := range res.DLoads {
@@ -169,10 +173,21 @@ func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result) error {
 	hier := mem.NewHierarchy(cfgc.Hierarchy)
 	m := emu.New(p)
 
+	// The window is a ring over the last Window retired instructions,
+	// stored in a power-of-two slice so a slot is seq&mask. Whether a
+	// producer is still in the window depends on Window alone, so the
+	// edges do not depend on the rounding.
 	winSize := uint64(cfgc.Window)
-	window := make([]windowEntry, cfgc.Window)
+	ringLen := uint64(1)
+	for ringLen < winSize {
+		ringLen <<= 1
+	}
+	mask := ringLen - 1
+	window := make([]windowEntry, ringLen)
 	lastWriter := make([]uint64, isa.NumRegs) // reg -> seq+1
-	lastStore := map[uint32]uint64{}          // 8-byte-aligned addr -> seq+1
+	// lastStore shadows data memory: the word at each 8-byte-aligned
+	// address holds seq+1 of the last store to it, 0 if none.
+	lastStore := mem.NewMemory()
 	const storeAlign = ^uint32(7)
 
 	// Precompute each instruction's chain of enclosing loops
@@ -195,57 +210,53 @@ func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result) error {
 		infos[pc] = li
 	}
 	latAcc := make([]float64, len(g.Loops))
+	iters := make([]uint64, len(g.Loops))
 
+	// edges[consumerPC] counts each static producer the chase crossed
+	// into it. A consumer has few static producers, so a linear search
+	// finds one faster than a map would.
+	type edge struct {
+		prod int
+		n    uint64
+	}
+	edges := make([][]edge, len(p.Text))
 	addEdge := func(cons, prod int) {
-		mm := res.Deps[cons]
-		if mm == nil {
-			mm = map[int]uint64{}
-			res.Deps[cons] = mm
+		es := edges[cons]
+		for i := range es {
+			if es[i].prod == prod {
+				es[i].n++
+				return
+			}
 		}
-		mm[prod]++
+		edges[cons] = append(es, edge{prod, 1})
 	}
 
 	// chase walks backwards from entry e through window producers,
-	// recording every (consumer, producer) static edge it crosses.
+	// recording every (consumer, producer) static edge it crosses. Only
+	// producers still in the window are pushed, so within one chase a
+	// slot names one instruction, and visited[slot] == gen marks it
+	// expanded.
 	var stack []uint64
-	visited := map[uint64]bool{}
+	visited := make([]uint64, ringLen)
+	var gen uint64
+	expand := func(w *windowEntry, seqNow uint64) {
+		for i := 0; i < w.nprod; i++ {
+			if sp := w.prod[i]; seqNow-(sp-1) < winSize {
+				addEdge(w.pc, window[(sp-1)&mask].pc)
+				stack = append(stack, sp)
+			}
+		}
+	}
 	chase := func(e *windowEntry, seqNow uint64) {
+		gen++
 		stack = stack[:0]
-		for k := range visited {
-			delete(visited, k)
-		}
-		inWindow := func(sp uint64) *windowEntry {
-			if sp == 0 || seqNow-(sp-1) >= winSize {
-				return nil
-			}
-			w := &window[(sp-1)%winSize]
-			if w.seq != sp {
-				return nil
-			}
-			return w
-		}
-		for i := 0; i < e.nprod; i++ {
-			if pe := inWindow(e.prod[i]); pe != nil {
-				addEdge(e.pc, pe.pc)
-				stack = append(stack, e.prod[i])
-			}
-		}
+		expand(e, seqNow)
 		for len(stack) > 0 {
-			sp := stack[len(stack)-1]
+			slot := (stack[len(stack)-1] - 1) & mask
 			stack = stack[:len(stack)-1]
-			if visited[sp] {
-				continue
-			}
-			visited[sp] = true
-			w := inWindow(sp)
-			if w == nil {
-				continue
-			}
-			for i := 0; i < w.nprod; i++ {
-				if pe := inWindow(w.prod[i]); pe != nil {
-					addEdge(w.pc, pe.pc)
-					stack = append(stack, w.prod[i])
-				}
+			if visited[slot] != gen {
+				visited[slot] = gen
+				expand(&window[slot], seqNow)
 			}
 		}
 	}
@@ -258,7 +269,7 @@ func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result) error {
 		li := &infos[pc]
 
 		for _, l := range li.headerOf {
-			res.LoopIters[l]++
+			iters[l]++
 		}
 
 		// Latency estimate: fixed op latency; loads pay the modelled
@@ -278,9 +289,8 @@ func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result) error {
 
 		// Dependence window update.
 		seq := ev.Seq
-		e := &window[seq%winSize]
+		e := &window[seq&mask]
 		e.pc = pc
-		e.seq = seq + 1
 		e.nprod = 0
 		for _, r := range in.Sources(srcBuf[:0]) {
 			if w := lastWriter[r]; w != 0 && e.nprod < len(e.prod) {
@@ -289,13 +299,13 @@ func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result) error {
 			}
 		}
 		if in.Op.IsLoad() {
-			if w, ok := lastStore[ev.Addr&storeAlign]; ok && e.nprod < len(e.prod) {
+			if w := lastStore.ReadU64(ev.Addr & storeAlign); w != 0 && e.nprod < len(e.prod) {
 				e.prod[e.nprod] = w
 				e.nprod++
 			}
 		}
 		if in.Op.IsStore() {
-			lastStore[ev.Addr&storeAlign] = seq + 1
+			lastStore.WriteU64(ev.Addr&storeAlign, seq+1)
 		}
 		if rd, ok := in.Dest(); ok {
 			lastWriter[rd] = seq + 1
@@ -309,8 +319,19 @@ func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result) error {
 		return fmt.Errorf("profile pass 2: %w", err)
 	}
 
-	for l := range latAcc {
-		if it := res.LoopIters[l]; it > 0 {
+	for cons, es := range edges {
+		if len(es) == 0 {
+			continue
+		}
+		prods := make(map[int]uint64, len(es))
+		for _, e := range es {
+			prods[e.prod] = e.n
+		}
+		res.Deps[cons] = prods
+	}
+	for l, it := range iters {
+		if it > 0 {
+			res.LoopIters[l] = it
 			res.LoopDCycles[l] = latAcc[l] / float64(it)
 		}
 	}

@@ -1,6 +1,8 @@
 package slicer
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"spear/internal/asm"
@@ -156,6 +158,86 @@ func TestEdgeWeightFilterKeepsRareWhenDisabled(t *testing.T) {
 	pts, _ := Build(p, g, res, cfgc)
 	if !pts[0].HasMember(2) {
 		t.Error("weight filter disabled but rare producer still excluded")
+	}
+}
+
+// TestEdgeWeightFilterOnProfiledProgram runs the filter end to end on
+// profiled weights: the base register of a gather has a common producer
+// and a rare one, taken in 1 of 64 iterations. The profiler must give the
+// rare edge a weight below 5% of the misses, and the slicer must drop
+// the rare producer at the default fraction and keep it at 0.
+func TestEdgeWeightFilterOnProfiledProgram(t *testing.T) {
+	p, err := asm.Assemble("r.s", `
+        .data
+idx:    .space 32768
+tbl:    .space 4194304
+        .text
+main:   la   r1, idx
+        la   r2, tbl
+        li   r3, 0
+        li   r4, 4096
+loop:   slli r5, r3, 3
+        add  r6, r1, r5
+        ld   r7, 0(r6)
+        slli r8, r7, 3
+        andi r9, r3, 63
+        beqz r9, rare
+common: addi r10, r2, 0         # common producer of the base
+        j    meet
+rare:   addi r10, r2, 0         # rare producer of the base
+meet:   add  r11, r10, r8
+dload:  ld   r12, 0(r11)
+        addi r3, r3, 1
+        blt  r3, r4, loop
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(3))
+	off := p.Symbols["idx"] - p.Data[0].Addr
+	for i := 0; i < 4096; i++ {
+		binary.LittleEndian.PutUint64(p.Data[0].Bytes[off+uint32(8*i):], uint64(r.Intn(512*1024)))
+	}
+	g, err := cfg.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := p.Labels
+	pcfg := profile.DefaultConfig()
+	pcfg.MaxInstr = 1_000_000
+	res, err := profile.Run(p, g, pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := res.LoadStats[pc["dload"]].Misses
+	limit := uint64(DefaultConfig().EdgeWeightFraction * float64(misses))
+	rareW, commonW := res.Deps[pc["meet"]][pc["rare"]], res.Deps[pc["meet"]][pc["common"]]
+	if rareW == 0 || rareW >= limit {
+		t.Fatalf("rare edge weight %d, want in [1, %d) for %d misses", rareW, limit, misses)
+	}
+	if commonW < limit {
+		t.Fatalf("common edge weight %d below the filter's %d", commonW, limit)
+	}
+
+	slice := func(fraction float64) prog.PThread {
+		t.Helper()
+		c := DefaultConfig()
+		c.EdgeWeightFraction = fraction
+		_, reps := Build(p, g, res, c)
+		for _, rep := range reps {
+			if rep.DLoad == pc["dload"] && !rep.Skipped {
+				return rep.PThread
+			}
+		}
+		t.Fatalf("no p-thread for the gather at %d: %+v", pc["dload"], reps)
+		return prog.PThread{}
+	}
+	if pt := slice(DefaultConfig().EdgeWeightFraction); pt.HasMember(pc["rare"]) || !pt.HasMember(pc["common"]) {
+		t.Errorf("default filter: members %v, want common %d without rare %d", pt.Members, pc["common"], pc["rare"])
+	}
+	if pt := slice(0); !pt.HasMember(pc["rare"]) || !pt.HasMember(pc["common"]) {
+		t.Errorf("filter off: members %v, want both common %d and rare %d", pt.Members, pc["common"], pc["rare"])
 	}
 }
 
