@@ -279,6 +279,7 @@ func BenchmarkCycleSimulator(b *testing.B) {
 		b.Skip("mcf not prepared")
 	}
 	cfg := cpu.SPEARConfig(128, false)
+	b.ReportAllocs()
 	b.ResetTimer()
 	var instr uint64
 	for i := 0; i < b.N; i++ {

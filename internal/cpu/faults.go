@@ -224,7 +224,7 @@ func (s *sim) dumpState() string {
 		s.wrongPath, s.wrongPC, s.fetchResumeAt, s.oracle.Halted, s.oracle.Count, s.mainHalted)
 	fmt.Fprintf(&b, "IFQ: head=%d tail=%d occupancy=%d/%d\n", s.ifqHead, s.ifqTail, s.ifqCount(), s.cfg.IFQSize)
 	for i, pos := 0, s.ifqHead; i < 4 && pos < s.ifqTail; i, pos = i+1, pos+1 {
-		fe := &s.ifq[pos%uint64(len(s.ifq))]
+		fe := &s.ifq[pos&s.ifqMask]
 		fmt.Fprintf(&b, "  ifq[%d] pc=%d %s bogus=%v marked=%v extracted=%v\n",
 			pos, fe.pc, fe.in.String(), fe.bogus, fe.marked, fe.extracted)
 	}
@@ -232,8 +232,8 @@ func (s *sim) dumpState() string {
 	for tid := 0; tid < 2; tid++ {
 		q := &s.ruu[tid]
 		fmt.Fprintf(&b, "RUU[%s]: head=%d tail=%d occupancy=%d/%d  LSQ occupancy=%d/%d\n",
-			names[tid], q.head, q.tail, q.count(), len(q.entries),
-			s.lsq[tid].count(), len(s.lsq[tid].entries))
+			names[tid], q.head, q.tail, q.count(), q.size,
+			s.lsq[tid].count(), s.lsq[tid].size)
 		for i, pos := 0, q.head; i < 4 && pos < q.tail; i, pos = i+1, pos+1 {
 			e := q.at(pos)
 			if !e.valid {

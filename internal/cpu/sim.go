@@ -86,19 +86,35 @@ type ruuEntry struct {
 	destVal uint64
 }
 
+// ringLen rounds a configured queue size up to a power of two. Ring
+// storage of that length is indexed by pos&(ringLen-1), so the hot loop
+// never divides; the configured size alone decides when a queue is full.
+func ringLen(size int) int {
+	n := 1
+	for n < size {
+		n <<= 1
+	}
+	return n
+}
+
 // ruuQ is a ring-buffer Register Update Unit for one hardware context.
 type ruuQ struct {
-	entries []ruuEntry
+	entries []ruuEntry // power-of-two storage, indexed pos&mask
+	mask    uint64
+	size    int    // configured capacity
 	head    uint64 // oldest position
 	tail    uint64 // next free position
 }
 
-func newRUU(size int) ruuQ { return ruuQ{entries: make([]ruuEntry, size)} }
+func newRUU(size int) ruuQ {
+	n := ringLen(size)
+	return ruuQ{entries: make([]ruuEntry, n), mask: uint64(n - 1), size: size}
+}
 
 func (q *ruuQ) count() int              { return int(q.tail - q.head) }
-func (q *ruuQ) full() bool              { return q.count() == len(q.entries) }
+func (q *ruuQ) full() bool              { return q.count() == q.size }
 func (q *ruuQ) empty() bool             { return q.head == q.tail }
-func (q *ruuQ) at(pos uint64) *ruuEntry { return &q.entries[pos%uint64(len(q.entries))] }
+func (q *ruuQ) at(pos uint64) *ruuEntry { return &q.entries[pos&q.mask] }
 
 // get resolves a ref, returning nil when it is stale.
 func (q *ruuQ) get(r ref) *ruuEntry {
@@ -122,16 +138,21 @@ type lsqEntry struct {
 }
 
 type lsqQ struct {
-	entries []lsqEntry
+	entries []lsqEntry // power-of-two storage, indexed pos&mask
+	mask    uint64
+	size    int // configured capacity
 	head    uint64
 	tail    uint64
 }
 
-func newLSQ(size int) lsqQ { return lsqQ{entries: make([]lsqEntry, size)} }
+func newLSQ(size int) lsqQ {
+	n := ringLen(size)
+	return lsqQ{entries: make([]lsqEntry, n), mask: uint64(n - 1), size: size}
+}
 
 func (q *lsqQ) count() int              { return int(q.tail - q.head) }
-func (q *lsqQ) full() bool              { return q.count() == len(q.entries) }
-func (q *lsqQ) at(pos uint64) *lsqEntry { return &q.entries[pos%uint64(len(q.entries))] }
+func (q *lsqQ) full() bool              { return q.count() == q.size }
+func (q *lsqQ) at(pos uint64) *lsqEntry { return &q.entries[pos&q.mask] }
 
 type ifqEntry struct {
 	seq   uint64
@@ -195,8 +216,10 @@ type sim struct {
 
 	cycle uint64
 
-	// IFQ (circular FIFO with monotonic positions).
+	// IFQ (circular FIFO with monotonic positions). The storage is
+	// rounded up to a power of two; cfg.IFQSize bounds the occupancy.
 	ifq     []ifqEntry
+	ifqMask uint64
 	ifqHead uint64
 	ifqTail uint64
 
@@ -340,7 +363,8 @@ func newSim(p *prog.Program, cfg Config) (*sim, error) {
 		pred:   bpred.New(cfg.Predictor),
 	}
 	s.res.Config = cfg.Name
-	s.ifq = make([]ifqEntry, cfg.IFQSize)
+	s.ifq = make([]ifqEntry, ringLen(cfg.IFQSize))
+	s.ifqMask = uint64(len(s.ifq) - 1)
 	s.ruu[tidMain] = newRUU(cfg.RUUSize)
 	s.ruu[tidP] = newRUU(cfg.PRUUSize)
 	s.lsq[tidMain] = newLSQ(cfg.LSQSize)
@@ -349,12 +373,8 @@ func newSim(p *prog.Program, cfg Config) (*sim, error) {
 
 	// Event ring sized to the longest possible completion latency.
 	maxLat := cfg.Hierarchy.L1D.HitLatency + cfg.Hierarchy.L2.HitLatency + cfg.Hierarchy.MemLatency + 64
-	ringSize := uint64(1)
-	for ringSize < uint64(maxLat) {
-		ringSize <<= 1
-	}
-	s.evq = make([][]ref, ringSize)
-	s.evqMask = ringSize - 1
+	s.evq = make([][]ref, ringLen(maxLat))
+	s.evqMask = uint64(len(s.evq) - 1)
 
 	// Load the P-thread Table.
 	s.marked = make([]bool, len(p.Text))
@@ -363,6 +383,7 @@ func newSim(p *prog.Program, cfg Config) (*sim, error) {
 	s.leafPLoad = make([]bool, len(p.Text))
 	if cfg.SPEAR {
 		s.health = map[int]*ptHealth{}
+		s.pscratch = map[uint32]byte{}
 		liveSet := map[isa.Reg]bool{}
 		for i := range p.PThreads {
 			pt := &p.PThreads[i]
@@ -605,9 +626,12 @@ func (s *sim) commitStage() {
 // ---------------------------------------------------------------- complete
 
 func (s *sim) completeStage() {
+	// The drained bucket keeps its storage for a later cycle's events.
+	// That is safe while the loop below reads it: completion and recovery
+	// never append to the wheel, and issue, which does, runs after this.
 	bucket := &s.evq[s.cycle&s.evqMask]
 	events := *bucket
-	*bucket = nil
+	*bucket = events[:0]
 	for _, r := range events {
 		e := s.ruu[r.tid].get(r)
 		if e == nil || e.state != stIssued {
@@ -826,7 +850,7 @@ func (s *sim) execLatency(e *ruuEntry, tid int) int {
 func (s *sim) dispatchStage(extracted int) {
 	width := s.cfg.DecodeWidth - extracted
 	for n := 0; n < width && s.ifqHead < s.ifqTail; n++ {
-		fe := &s.ifq[s.ifqHead%uint64(len(s.ifq))]
+		fe := &s.ifq[s.ifqHead&s.ifqMask]
 		q := &s.ruu[tidMain]
 		if q.full() {
 			return
@@ -1041,6 +1065,6 @@ func (s *sim) fetchWrongPath() bool {
 
 func (s *sim) pushIFQ(fe ifqEntry) {
 	s.traceFetch(&fe)
-	s.ifq[s.ifqTail%uint64(len(s.ifq))] = fe
+	s.ifq[s.ifqTail&s.ifqMask] = fe
 	s.ifqTail++
 }

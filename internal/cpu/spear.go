@@ -63,7 +63,7 @@ func (s *sim) preDecode(fe *ifqEntry) {
 	// every session pays the full spawn.
 	if !s.cfg.SoftwareTrigger && s.pStateValid && s.pScanPos >= s.ifqHead {
 		s.mode = modeActive
-		s.sess = session{pt: pt, dloadSeq: fe.seq, scanPos: s.pScanPos, startCycle: s.cycle}
+		s.sess = session{pt: pt, dloadSeq: fe.seq, scanPos: s.pScanPos, startCycle: s.cycle, producers: s.sess.producers[:0]}
 		s.sessID++
 		s.traceTrigger("armed (continuation)")
 		s.traceSession(obs.KindSessionBegin, "continuation")
@@ -80,6 +80,7 @@ func (s *sim) preDecode(fe *ifqEntry) {
 		drainLeft:  s.cfg.TriggerDrainCycles,
 		snapshot:   s.shadow,
 		startCycle: s.cycle,
+		producers:  s.sess.producers[:0],
 	}
 	for _, r := range s.allLiveIns {
 		if !s.createOk[tidMain][r] {
@@ -172,7 +173,7 @@ func (s *sim) activateSession() {
 		s.pregs[r] = s.sess.snapshot[r]
 	}
 	s.sess.scanPos = s.ifqHead
-	s.pscratch = map[uint32]byte{}
+	clear(s.pscratch)
 	for r := range s.createOk[tidP] {
 		s.createOk[tidP][r] = false
 	}
@@ -236,7 +237,7 @@ func (s *sim) extractStage() int {
 			}
 			break
 		}
-		fe := &s.ifq[s.sess.scanPos%uint64(len(s.ifq))]
+		fe := &s.ifq[s.sess.scanPos&s.ifqMask]
 		if !fe.marked || fe.extracted {
 			s.sess.scanPos++
 			continue

@@ -8,10 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"spear/internal/asm"
 	"spear/internal/cpu"
+	"spear/internal/iofault"
 	"spear/internal/journal"
 	"spear/internal/prog"
 )
@@ -237,5 +239,56 @@ func TestSweepInterruptedRunNotMemoized(t *testing.T) {
 	}
 	if runs != 1 {
 		t.Errorf("FaultHook ran %d times, want 1 (the live re-sweep)", runs)
+	}
+}
+
+// readCountingFS counts whole-file reads.
+type readCountingFS struct {
+	iofault.FS
+	reads atomic.Int64
+}
+
+func (c *readCountingFS) ReadFile(name string) ([]byte, error) {
+	c.reads.Add(1)
+	return c.FS.ReadFile(name)
+}
+
+// TestResumeReadsJournalOnce pins that resuming a sweep journal — the
+// path every resumed sweep and every scheduler job takes — reads the
+// journal file once, torn tail included.
+func TestResumeReadsJournalOnce(t *testing.T) {
+	dir := t.TempDir()
+	w, err := journal.Open(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(journal.Record{Status: journal.StatusStarted, Key: "k"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, journal.FileName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`2 9 00000000 {"sta`); err != nil { // a torn append
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fsys := &readCountingFS{FS: iofault.OS()}
+	j, err := OpenSweepJournalConfig(dir, true, SweepJournalConfig{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if n := fsys.reads.Load(); n != 1 {
+		t.Errorf("resume read the journal %d times, want 1", n)
+	}
+	if _, torn := j.Replayed(); !torn {
+		t.Error("resume did not report the torn tail")
 	}
 }

@@ -80,23 +80,19 @@ func OpenSweepJournal(dir string, resume bool) (*SweepJournal, error) {
 // Without resume any existing journal is discarded and the sweep starts
 // fresh.
 func OpenSweepJournalConfig(dir string, resume bool, cfg SweepJournalConfig) (*SweepJournal, error) {
-	fsys := cfg.FS
-	if fsys == nil {
-		fsys = iofault.OS()
-	}
-	j := &SweepJournal{state: journal.Replay(nil, false)}
+	jcfg := journal.Config{FS: cfg.FS, Perf: cfg.Perf}
 	if resume {
-		var err error
-		if j.state, err = journal.Repair(fsys, dir); err != nil {
+		st, w, err := journal.Resume(dir, jcfg)
+		if err != nil {
 			return nil, err
 		}
+		return &SweepJournal{state: st, w: w}, nil
 	}
-	w, err := journal.OpenConfig(dir, !resume, journal.Config{FS: fsys, Perf: cfg.Perf})
+	w, err := journal.OpenConfig(dir, true, jcfg)
 	if err != nil {
 		return nil, err
 	}
-	j.w = w
-	return j, nil
+	return &SweepJournal{state: journal.Replay(nil, false), w: w}, nil
 }
 
 // Close flushes and closes the journal file.

@@ -122,6 +122,10 @@ type ScanResult struct {
 	// Torn reports a damaged final line: the signature of a crash
 	// mid-append, dropped rather than quarantined.
 	Torn bool
+
+	// size is the scanned file's length and tail the number of its bytes
+	// after the last newline (set by scanFile; 0 after a rewrite).
+	size, tail int64
 }
 
 // Scan reads every line of a journal stream, classifying each as an
@@ -132,6 +136,11 @@ func Scan(r io.Reader) (*ScanResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
+	return scan(data), nil
+}
+
+// scan is Scan over bytes already in memory.
+func scan(data []byte) *ScanResult {
 	sr := &ScanResult{}
 	lines := bytes.Split(data, []byte("\n"))
 	last := lastContentLine(lines)
@@ -153,7 +162,7 @@ func Scan(r io.Reader) (*ScanResult, error) {
 		sr.Recs = append(sr.Recs, rec)
 		sr.Raw = append(sr.Raw, append([]byte(nil), line...))
 	}
-	return sr, nil
+	return sr
 }
 
 // lastContentLine returns the index of the final non-blank line.

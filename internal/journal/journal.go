@@ -230,16 +230,45 @@ func Open(dir string, truncate bool) (*Writer, error) {
 // survives a crash.
 func OpenConfig(dir string, truncate bool, cfg Config) (*Writer, error) {
 	cfg = cfg.withDefaults()
+	if !truncate {
+		if err := trimTornTail(cfg.FS, filepath.Join(dir, FileName)); err != nil {
+			return nil, err
+		}
+	}
+	return open(dir, truncate, cfg)
+}
+
+// Resume repairs the journal in dir (see Repair), opens it for appending
+// and returns the replayed state of the intact records. It reads the
+// journal once: the repair pass already knows where the last complete
+// line ends, so the bytes after it are trimmed without OpenConfig's
+// second read.
+func Resume(dir string, cfg Config) (*State, *Writer, error) {
+	cfg = cfg.withDefaults()
+	sr, err := repair(cfg.FS, dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	if sr != nil && sr.tail > 0 {
+		if err := cfg.FS.Truncate(filepath.Join(dir, FileName), sr.size-sr.tail); err != nil {
+			return nil, nil, fmt.Errorf("journal: %w", err)
+		}
+	}
+	w, err := open(dir, false, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sr.replay(), w, nil
+}
+
+// open creates dir if needed and opens the journal in it, which (unless
+// truncate) ends on a line boundary, and starts the writer goroutine.
+func open(dir string, truncate bool, cfg Config) (*Writer, error) {
 	fsys := cfg.FS
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	path := filepath.Join(dir, FileName)
-	if !truncate {
-		if err := trimTornTail(fsys, path); err != nil {
-			return nil, err
-		}
-	}
 	fresh := truncate
 	if _, err := fsys.Stat(path); errors.Is(err, fs.ErrNotExist) {
 		fresh = true
@@ -526,7 +555,10 @@ func scanFile(fsys iofault.FS, dir string) (*ScanResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	return Scan(bytes.NewReader(data))
+	sr := scan(data)
+	sr.size = int64(len(data))
+	sr.tail = sr.size - int64(bytes.LastIndexByte(data, '\n')+1)
+	return sr, nil
 }
 
 // replay folds the scanned records into resume state, counting the

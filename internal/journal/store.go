@@ -113,6 +113,16 @@ func Repair(fsys iofault.FS, dir string) (*State, error) {
 	if fsys == nil {
 		fsys = iofault.OS()
 	}
+	sr, err := repair(fsys, dir)
+	if err != nil {
+		return nil, err
+	}
+	return sr.replay(), nil
+}
+
+// repair is Repair returning the scan of the journal it read; after a
+// rewrite the file ends on a newline and the scan's tail is 0.
+func repair(fsys iofault.FS, dir string) (*ScanResult, error) {
 	sr, err := scanFile(fsys, dir)
 	if err != nil {
 		return nil, err
@@ -126,8 +136,9 @@ func Repair(fsys iofault.FS, dir string) (*State, error) {
 		if err := rewrite(fsys, dir, sr.Raw); err != nil {
 			return nil, err
 		}
+		sr.tail = 0
 	}
-	return sr.replay(), nil
+	return sr, nil
 }
 
 // quarantine appends damaged lines to the sidecar, durably.
