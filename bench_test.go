@@ -176,18 +176,25 @@ func BenchmarkSweepParallel(b *testing.B) {
 // extract, issue, commit) on the mcf kernel under the SPEAR-128 machine,
 // reported as ns per simulated cycle. This is the denominator of the
 // cpu.stage.* attribution in BENCH documents.
-func BenchmarkStageHotLoop(b *testing.B) {
-	s := sharedSuite(b)
-	var prep *harness.Prepared
-	for _, p := range s.Prepared {
-		if p.Kernel.Name == "mcf" {
-			prep = p
-		}
+func BenchmarkStageHotLoop(b *testing.B) { benchCycleLoop(b, "mcf", cpu.SPEARConfig(128, false)) }
+
+// BenchmarkStageDeadCycles measures the cycle loop on tr under the
+// baseline machine, in ns per simulated cycle. tr is a serial chase that
+// waits on DRAM for about nine cycles in ten, so this is the cost of the
+// loop's idle test and of the jumps over dead cycles.
+func BenchmarkStageDeadCycles(b *testing.B) { benchCycleLoop(b, "tr", cpu.BaselineConfig()) }
+
+// benchCycleLoop prepares one kernel, runs it under cfg per iteration and
+// reports ns per simulated cycle.
+func benchCycleLoop(b *testing.B, kernel string, cfg cpu.Config) {
+	k, ok := workloads.ByName(kernel)
+	if !ok {
+		b.Fatalf("unknown kernel %s", kernel)
 	}
-	if prep == nil {
-		b.Skip("mcf not prepared")
+	prep, err := harness.Prepare(*k, harness.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
 	}
-	cfg := cpu.SPEARConfig(128, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles uint64

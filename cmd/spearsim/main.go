@@ -238,7 +238,7 @@ func run(ctx context.Context, o options) error {
 	}
 	printResult(p, res)
 	printIntervals(res)
-	printPerf(res)
+	printPerf(res, cfg.Perf)
 	return nil
 }
 
@@ -302,8 +302,9 @@ func printResult(p *prog.Program, r *cpu.Result) {
 
 // printPerf renders the -perf stage-timing attribution: host nanoseconds
 // spent in each simulator pipeline stage, each stage's share of the run
-// loop, and how much of the loop the buckets explain in total.
-func printPerf(r *cpu.Result) {
+// loop, how much of the loop the buckets explain in total, and how many
+// dead cycles the loop jumped over (read from the run's registry).
+func printPerf(r *cpu.Result, reg *perf.Registry) {
 	if r.Timing == nil {
 		return
 	}
@@ -328,6 +329,10 @@ func printPerf(r *cpu.Result) {
 		time.Duration(tm.WallNanos).Round(time.Microsecond),
 		time.Duration(tm.LoopNanos).Round(time.Microsecond), t.String())
 	fmt.Printf("stage buckets cover %.1f%% of the run loop\n", coverage)
+	if r.Cycles > 0 {
+		skipped := reg.Counter("cpu.cycles.skipped").Value()
+		fmt.Printf("skipped %d of %d cycles (%.1f%%)\n", skipped, r.Cycles, 100*float64(skipped)/float64(r.Cycles))
+	}
 }
 
 // printIntervals renders the -metrics time series as a table plus an IPC

@@ -116,6 +116,20 @@ func (q *ruuQ) full() bool              { return q.count() == q.size }
 func (q *ruuQ) empty() bool             { return q.head == q.tail }
 func (q *ruuQ) at(pos uint64) *ruuEntry { return &q.entries[pos&q.mask] }
 
+// push appends a zero entry in state stDispatched and returns its
+// position. The slot is cleared and filled in place (a struct literal
+// assigned through a pointer is built on the stack and copied); its
+// consumer list keeps its storage.
+func (q *ruuQ) push() (uint64, *ruuEntry) {
+	pos := q.tail
+	q.tail++
+	e := q.at(pos)
+	consumers := e.consumers[:0]
+	*e = ruuEntry{}
+	e.consumers = consumers
+	return pos, e
+}
+
 // get resolves a ref, returning nil when it is stale.
 func (q *ruuQ) get(r ref) *ruuEntry {
 	if r.pos < q.head || r.pos >= q.tail {
@@ -228,8 +242,8 @@ type sim struct {
 	wrongPath     bool
 	wrongPC       int // -1: fetch stalled until redirect
 	fetchResumeAt uint64
-	lastEv        emu.Event
-	mainHalted    bool // HALT committed
+	lastEv        *emu.Event // the oracle's last retired instruction
+	mainHalted    bool       // HALT committed
 
 	// Back end.
 	ruu       [2]ruuQ
@@ -265,6 +279,11 @@ type sim struct {
 	pseq    uint64 // p-thread instruction sequence counter (all sessions)
 
 	occAccum uint64 // sum of per-cycle IFQ occupancy
+
+	// Dead-cycle skipping (skip.go): skip mirrors skipDeadCycles at
+	// construction; skipped counts the cycles jumped over.
+	skip    bool
+	skipped uint64
 
 	// The persistent "p-thread head" (Section 3.2): where the PE resumes
 	// scanning. While it stays ahead of the IFQ head, consecutive
@@ -342,6 +361,7 @@ func RunContext(ctx context.Context, p *prog.Program, cfg Config) (*Result, erro
 		reg.Counter("cpu.run.ns").Add(res.Timing.WallNanos)
 		reg.Counter("cpu.run.loop.ns").Add(res.Timing.LoopNanos)
 		reg.Counter("cpu.cycles").Add(res.Cycles)
+		reg.Counter("cpu.cycles.skipped").Add(s.skipped)
 		reg.Counter("cpu.instrs").Add(res.MainCommitted)
 	}
 	return res, nil
@@ -443,7 +463,8 @@ func newSim(p *prog.Program, cfg Config) (*sim, error) {
 		s.tmr.init(cfg.Perf)
 	}
 
-	s.oracle.Hook = func(ev *emu.Event) { s.lastEv = *ev }
+	s.skip = skipDeadCycles
+	s.oracle.Hook = func(ev *emu.Event) { s.lastEv = ev }
 	return s, nil
 }
 
@@ -452,8 +473,9 @@ func newSim(p *prog.Program, cfg Config) (*sim, error) {
 // timing on, publishes the window's stage nanos.
 const windowMask = 0xFFFF
 
-// runLoop steps the machine to completion, aborting on MaxCycles (with a
-// diagnostic dump) or on context cancellation.
+// runLoop steps the machine to completion, jumping over idle cycles
+// (skip.go), and aborts on MaxCycles (with a diagnostic dump) or on
+// context cancellation.
 func (s *sim) runLoop() error {
 	for !s.done() {
 		if s.cycle >= s.cfg.MaxCycles {
@@ -474,6 +496,10 @@ func (s *sim) runLoop() error {
 						ErrInterrupted, cerr, s.cycle, s.res.MainCommitted, s.oracle.Count)
 				}
 			}
+		}
+		if s.skip && s.quiet() && s.idle() {
+			s.skipIdle()
+			continue
 		}
 		s.tmr.sampleCycle(s.cycle)
 		s.stepCycle()
@@ -859,29 +885,23 @@ func (s *sim) dispatchStage(extracted int) {
 		if needLSQ && s.lsq[tidMain].full() {
 			return
 		}
-		pos := q.tail
-		q.tail++
-		e := q.at(pos)
-		*e = ruuEntry{
-			valid:       true,
-			seq:         fe.seq,
-			pc:          fe.pc,
-			in:          fe.in,
-			bogus:       fe.bogus,
-			state:       stDispatched,
-			isCond:      fe.isCond,
-			predTaken:   fe.predTaken,
-			actualTaken: fe.taken,
-			mispredict:  fe.mispredict,
-			isHalt:      fe.in.Op == isa.HALT && !fe.bogus,
-			isLoad:      fe.in.Op.IsLoad(),
-			isStore:     fe.in.Op.IsStore(),
-			addr:        fe.addr,
-			hasDest:     fe.hasDest,
-			destReg:     fe.destReg,
-			destVal:     fe.destVal,
-			consumers:   e.consumers[:0],
-		}
+		pos, e := q.push()
+		e.valid = true
+		e.seq = fe.seq
+		e.pc = fe.pc
+		e.in = fe.in
+		e.bogus = fe.bogus
+		e.isCond = fe.isCond
+		e.predTaken = fe.predTaken
+		e.actualTaken = fe.taken
+		e.mispredict = fe.mispredict
+		e.isHalt = fe.in.Op == isa.HALT && !fe.bogus
+		e.isLoad = fe.in.Op.IsLoad()
+		e.isStore = fe.in.Op.IsStore()
+		e.addr = fe.addr
+		e.hasDest = fe.hasDest
+		e.destReg = fe.destReg
+		e.destVal = fe.destVal
 		if e.bogus && e.in.Op.IsMem() {
 			// Wrong-path addresses are unknown; use a unique dword so
 			// they never alias with real disambiguation.
@@ -972,18 +992,17 @@ func (s *sim) fetchStage() {
 // fetchOnTrace turns the oracle's last event into an IFQ entry, consulting
 // the predictor to decide whether fetch diverges onto the wrong path.
 func (s *sim) fetchOnTrace() {
-	ev := &s.lastEv
-	fe := ifqEntry{
-		seq:     s.fetchSeq,
-		pc:      ev.PC,
-		in:      ev.Instr,
-		taken:   ev.Taken,
-		isMem:   ev.IsMem,
-		addr:    ev.Addr,
-		hasDest: ev.HasDest,
-		destReg: ev.DestReg,
-		destVal: ev.DestVal,
-	}
+	ev := s.lastEv
+	fe := s.ifqSlot()
+	fe.seq = s.fetchSeq
+	fe.pc = ev.PC
+	fe.in = ev.Instr
+	fe.taken = ev.Taken
+	fe.isMem = ev.IsMem
+	fe.addr = ev.Addr
+	fe.hasDest = ev.HasDest
+	fe.destReg = ev.DestReg
+	fe.destVal = ev.DestVal
 	s.fetchSeq++
 	op := ev.Instr.Op
 	switch {
@@ -1025,7 +1044,7 @@ func (s *sim) fetchOnTrace() {
 			}
 		}
 	}
-	s.preDecode(&fe)
+	s.preDecode(fe)
 	s.pushIFQ(fe)
 }
 
@@ -1036,7 +1055,11 @@ func (s *sim) fetchWrongPath() bool {
 		return false
 	}
 	in := s.prog.Text[s.wrongPC]
-	fe := ifqEntry{seq: s.fetchSeq, pc: s.wrongPC, in: in, bogus: true}
+	fe := s.ifqSlot()
+	fe.seq = s.fetchSeq
+	fe.pc = s.wrongPC
+	fe.in = in
+	fe.bogus = true
 	s.fetchSeq++
 	switch {
 	case in.Op.IsBranch():
@@ -1058,13 +1081,22 @@ func (s *sim) fetchWrongPath() bool {
 	default:
 		s.wrongPC++
 	}
-	s.preDecode(&fe)
+	s.preDecode(fe)
 	s.pushIFQ(fe)
 	return true
 }
 
-func (s *sim) pushIFQ(fe ifqEntry) {
-	s.traceFetch(&fe)
-	s.ifq[s.ifqTail&s.ifqMask] = fe
+// ifqSlot returns the IFQ's tail slot cleared, for fetch to fill in place
+// (a struct literal assigned through a pointer is built on the stack and
+// copied) before pushIFQ enqueues it.
+func (s *sim) ifqSlot() *ifqEntry {
+	fe := &s.ifq[s.ifqTail&s.ifqMask]
+	*fe = ifqEntry{}
+	return fe
+}
+
+// pushIFQ enqueues fe, the tail slot that ifqSlot returned.
+func (s *sim) pushIFQ(fe *ifqEntry) {
+	s.traceFetch(fe)
 	s.ifqTail++
 }

@@ -310,25 +310,19 @@ func (s *sim) dispatchPThread(fe *ifqEntry) (ok, faulted bool) {
 		s.containFault(fault)
 		return false, true
 	}
-	pos := q.tail
-	q.tail++
-	e := q.at(pos)
+	pos, e := q.push()
 	seq := s.pseq
 	s.pseq++
-	*e = ruuEntry{
-		valid:     true,
-		seq:       seq,
-		pc:        fe.pc,
-		in:        in,
-		state:     stDispatched,
-		isLoad:    in.Op.IsLoad(),
-		isStore:   in.Op.IsStore(),
-		addr:      outcome.addr,
-		hasDest:   outcome.hasDest,
-		destReg:   outcome.destReg,
-		destVal:   outcome.destVal,
-		consumers: e.consumers[:0],
-	}
+	e.valid = true
+	e.seq = seq
+	e.pc = fe.pc
+	e.in = in
+	e.isLoad = in.Op.IsLoad()
+	e.isStore = in.Op.IsStore()
+	e.addr = outcome.addr
+	e.hasDest = outcome.hasDest
+	e.destReg = outcome.destReg
+	e.destVal = outcome.destVal
 	if needLSQ {
 		lq := &s.lsq[tidP]
 		lpos := lq.tail

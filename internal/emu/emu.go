@@ -54,8 +54,8 @@ type Machine struct {
 	Count  uint64 // retired instructions
 
 	// Hook, when non-nil, observes every retired instruction. The
-	// *Event is reused by the next Step and is valid only during the
-	// call: a hook that keeps it must copy it.
+	// *Event is the machine's own and is valid until the next Step, which
+	// overwrites it: a hook that keeps it longer must copy it.
 	Hook func(*Event)
 
 	ev Event // the event Step fills and passes to Hook

@@ -28,6 +28,38 @@ func TestPeekDoesNotMaterialize(t *testing.T) {
 	}
 }
 
+func TestPeekU64DoesNotMaterialize(t *testing.T) {
+	m := NewMemory()
+	m.WriteU64(0x2000, 0x0123_4567_89AB_CDEF)
+	m.WriteU64(0x1_FFFC, 0x1122_3344_5566_7788) // spans two pages
+	pages := m.Pages()
+	cases := []struct {
+		addr uint32
+		want uint64
+	}{
+		{0x2000, 0x0123_4567_89AB_CDEF},
+		{0x2004, 0x0123_4567},
+		{0x1_FFFC, 0x1122_3344_5566_7788},
+		{0x9000_0000, 0},
+		{0x9000_FFFC, 0}, // spans two unmapped pages
+		{0x2_FFFC, 0},    // spans from a mapped page into an unmapped one
+		{0xFFFF_FFFC, 0}, // wraps past the top of the address space
+	}
+	for _, c := range cases {
+		if got := m.PeekU64(c.addr); got != c.want {
+			t.Errorf("PeekU64(%#x) = %#x, want %#x", c.addr, got, c.want)
+		}
+	}
+	if m.Pages() != pages {
+		t.Errorf("PeekU64 materialized pages: %d -> %d", pages, m.Pages())
+	}
+	for _, c := range cases {
+		if got := m.ReadU64(c.addr); got != c.want {
+			t.Errorf("ReadU64(%#x) = %#x, want %#x", c.addr, got, c.want)
+		}
+	}
+}
+
 func TestHashIgnoresZeroPages(t *testing.T) {
 	a, b := NewMemory(), NewMemory()
 	if a.Hash() != b.Hash() {

@@ -74,6 +74,27 @@ func (m *Memory) PeekU8(addr uint32) uint8 {
 	return 0
 }
 
+// PeekU64 is the 64-bit PeekU8: it reads a little-endian value without
+// materializing pages, and bytes on an unmapped page read as zero.
+func (m *Memory) PeekU64(addr uint32) uint64 {
+	if crosses(addr, 8) {
+		var v uint64
+		for i := uint32(0); i < 8; i++ {
+			v |= uint64(m.PeekU8(addr+i)) << (8 * i)
+		}
+		return v
+	}
+	base := addr &^ pageMask
+	p := m.lastPage
+	if p == nil || m.lastBase != base {
+		if p = m.pages[base]; p == nil {
+			return 0
+		}
+	}
+	o := addr & pageMask
+	return binary.LittleEndian.Uint64(p[o : o+8])
+}
+
 // WriteU8 writes one byte.
 func (m *Memory) WriteU8(addr uint32, v uint8) { m.page(addr)[addr&pageMask] = v }
 

@@ -101,7 +101,7 @@ func Run(p *prog.Program, g *cfg.Graph, cfgc Config) (*Result, error) {
 	if err := pass1(p, cfgc, res); err != nil {
 		return nil, err
 	}
-	if err := pass2(p, g, cfgc, res); err != nil {
+	if err := pass2(p, g, cfgc, res, mem.NewMemory()); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -162,9 +162,13 @@ func pass1(p *prog.Program, cfgc Config, res *Result) error {
 
 // pass2 re-runs the program collecting dependence edges on d-load misses,
 // per-instruction execution counts, and loop d-cycles. Its per-instruction
-// path touches no map and allocates nothing once the stack, the edge
-// lists and the store shadow's pages have grown.
-func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result) error {
+// path allocates nothing once the stack, the edge lists and the store
+// shadow's pages have grown.
+//
+// lastStore, an empty memory, shadows data memory: the word at each
+// 8-byte-aligned address holds seq+1 of the last store to it, 0 if none.
+// Loads peek it, so it holds pages only where the program stores.
+func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result, lastStore *mem.Memory) error {
 	isDLoad := make([]bool, len(p.Text))
 	for _, pc := range res.DLoads {
 		isDLoad[pc] = true
@@ -185,9 +189,6 @@ func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result) error {
 	mask := ringLen - 1
 	window := make([]windowEntry, ringLen)
 	lastWriter := make([]uint64, isa.NumRegs) // reg -> seq+1
-	// lastStore shadows data memory: the word at each 8-byte-aligned
-	// address holds seq+1 of the last store to it, 0 if none.
-	lastStore := mem.NewMemory()
 	const storeAlign = ^uint32(7)
 
 	// Precompute each instruction's chain of enclosing loops
@@ -299,7 +300,7 @@ func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result) error {
 			}
 		}
 		if in.Op.IsLoad() {
-			if w := lastStore.ReadU64(ev.Addr & storeAlign); w != 0 && e.nprod < len(e.prod) {
+			if w := lastStore.PeekU64(ev.Addr & storeAlign); w != 0 && e.nprod < len(e.prod) {
 				e.prod[e.nprod] = w
 				e.nprod++
 			}

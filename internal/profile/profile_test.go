@@ -330,3 +330,49 @@ dload:  ld   r7, 0(r6)
 		t.Errorf("window width has no effect: weight %d (64) vs %d (8192)", small, wide)
 	}
 }
+
+// TestLoadOnlyPassLeavesStoreShadowEmpty runs pass 2 on a program that
+// loads from 16 pages of data and stores nothing: the loads read the store
+// shadow without giving it a page. (TestRunMatchesReference checks what
+// the shadow records for stores.)
+func TestLoadOnlyPassLeavesStoreShadowEmpty(t *testing.T) {
+	p, err := asm.Assemble("loads.s", `
+        .data
+buf:    .space 1048576         # 16 pages of 64 KiB
+        .text
+main:   la   r1, buf
+        li   r2, 0
+        li   r3, 256
+loop:   ld   r4, 0(r1)
+        add  r5, r5, r4
+        addi r1, r1, 4096
+        addi r2, r2, 1
+        blt  r2, r3, loop
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := cfg.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testConfig()
+	res := &Result{
+		LoadStats:   map[int]*LoadStat{},
+		Deps:        map[int]map[int]uint64{},
+		LoopDCycles: map[int]float64{},
+		LoopIters:   map[int]uint64{},
+		InstrExecs:  make([]uint64, len(p.Text)),
+	}
+	if err := pass1(p, c, res); err != nil {
+		t.Fatal(err)
+	}
+	shadow := mem.NewMemory()
+	if err := pass2(p, g, c, res, shadow); err != nil {
+		t.Fatal(err)
+	}
+	if n := shadow.Pages(); n != 0 {
+		t.Errorf("store shadow holds %d pages after a load-only pass over 16 pages, want 0", n)
+	}
+}
