@@ -87,7 +87,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"slices"
 	"strings"
 	"syscall"
@@ -174,7 +173,7 @@ written); a second forces an immediate exit.
 		os.Exit(exitOK)
 	}
 
-	err := profiled(*cpuProfile, *memProfile, func() error {
+	err := perf.Profiled("spearbench", *cpuProfile, *memProfile, func() error {
 		return run(ctx, runOptions{
 			experiment: *experiment, kernels: *kernels, parallel: *parallel, seed: *seed,
 			verbose: *verbose, asJSON: *asJSON, asCSV: *asCSV,
@@ -209,36 +208,6 @@ func runFsck(dir string) error {
 		return errDamaged
 	}
 	return nil
-}
-
-// profiled runs f under the optional pprof CPU and heap profiles.
-func profiled(cpuProfile, memProfile string, f func() error) error {
-	if cpuProfile != "" {
-		pf, err := os.Create(cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer pf.Close()
-		if err := pprof.StartCPUProfile(pf); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if memProfile != "" {
-		defer func() {
-			pf, err := os.Create(memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "spearbench:", err)
-				return
-			}
-			defer pf.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(pf); err != nil {
-				fmt.Fprintln(os.Stderr, "spearbench:", err)
-			}
-		}()
-	}
-	return f()
 }
 
 // runOptions bundles the flag values run needs.

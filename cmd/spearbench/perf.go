@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	netpprof "net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -30,11 +29,7 @@ import (
 // bound address (useful with ":0").
 func startDebugServer(addr string, reg *perf.Registry) (string, error) {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", netpprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
+	perf.MountPprof(mux)
 	mux.Handle("/metrics", perf.Handler(reg))
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -12,7 +12,10 @@
 //
 // Telemetry: -events streams structured simulator events (fetch, dispatch,
 // extract, trigger, issue, commit, flush, squash, fault, session) to a JSONL
-// file; -event-cycles bounds the stream to the first N cycles. -metrics N samples
+// file; -event-cycles bounds the stream to the first N cycles. -trace N
+// prints the same stream as text on stdout for the first N cycles; the
+// simulator has one event stream, so -trace and -events exclude each
+// other (a usage error, exit 1). -metrics N samples
 // interval statistics every N cycles and prints the series after the run.
 // -cpuprofile/-memprofile write pprof profiles of the simulator itself.
 // -perf times the simulator's own pipeline stages (host nanoseconds per
@@ -36,8 +39,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -106,7 +107,7 @@ func main() {
 		os.Exit(exitErr)
 	}()
 
-	if err := profiled(*cpuProfile, *memProfile, func() error { return run(ctx, o) }); err != nil {
+	if err := perf.Profiled("spearsim", *cpuProfile, *memProfile, func() error { return run(ctx, o) }); err != nil {
 		fmt.Fprintln(os.Stderr, "spearsim:", err)
 		var dl *cpu.DeadlockError
 		switch {
@@ -120,36 +121,6 @@ func main() {
 		}
 		os.Exit(exitErr)
 	}
-}
-
-// profiled runs f under the optional pprof CPU and heap profiles.
-func profiled(cpuProfile, memProfile string, f func() error) error {
-	if cpuProfile != "" {
-		pf, err := os.Create(cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer pf.Close()
-		if err := pprof.StartCPUProfile(pf); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if memProfile != "" {
-		defer func() {
-			pf, err := os.Create(memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "spearsim:", err)
-				return
-			}
-			defer pf.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(pf); err != nil {
-				fmt.Fprintln(os.Stderr, "spearsim:", err)
-			}
-		}()
-	}
-	return f()
 }
 
 func machineConfig(name string) (cpu.Config, error) {
@@ -172,15 +143,14 @@ func run(ctx context.Context, o options) error {
 	if (o.bin == "") == (o.workload == "") {
 		return fmt.Errorf("exactly one of -bin or -workload is required")
 	}
+	if o.trace > 0 && o.events != "" {
+		return fmt.Errorf("-trace and -events are exclusive: the simulator has one event stream")
+	}
 	cfg, err := machineConfig(o.machine)
 	if err != nil {
 		return err
 	}
 	cfg.Hierarchy = cfg.Hierarchy.WithLatencies(o.l2Lat, o.memLat)
-	if o.trace > 0 {
-		cfg.Trace = os.Stdout
-		cfg.TraceCycles = o.trace
-	}
 	if o.maxCycles > 0 {
 		cfg.MaxCycles = o.maxCycles
 	}
@@ -202,6 +172,10 @@ func run(ctx context.Context, o options) error {
 		}()
 		cfg.Events = w
 		cfg.EventCycles = o.eventCycles
+	}
+	if o.trace > 0 {
+		cfg.Events = obs.NewText(os.Stdout)
+		cfg.EventCycles = o.trace
 	}
 
 	var p *prog.Program

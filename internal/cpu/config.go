@@ -17,7 +17,6 @@ package cpu
 
 import (
 	"fmt"
-	"io"
 
 	"spear/internal/bpred"
 	"spear/internal/isa"
@@ -115,11 +114,6 @@ type Config struct {
 
 	// MaxCycles aborts a run that stopped making progress.
 	MaxCycles uint64
-
-	// Trace, when non-nil, receives a per-event pipeline trace for the
-	// first TraceCycles cycles (see internal/cpu/trace.go).
-	Trace       io.Writer
-	TraceCycles uint64
 
 	// Events, when non-nil, receives the structured pipeline event stream
 	// for the first EventCycles cycles (0 = the whole run). The simulator

@@ -204,7 +204,6 @@ type session struct {
 	scanPos   uint64 // the "p-thread head" IFQ pointer
 	drainLeft int
 	copyIdx   int
-	peDone    bool // the d-load has been extracted (or lost)
 
 	extracted  int    // instructions extracted since the last d-load (budget)
 	startCycle uint64 // cycle the session armed (cycle budget)
@@ -301,9 +300,9 @@ type sim struct {
 	// Fault containment: per-d-load confidence/backoff state.
 	health map[int]*ptHealth
 
-	// Telemetry (see trace.go and metrics.go). rec is nil when neither
-	// Config.Trace nor Config.Events is set; sessID numbers pre-execution
-	// sessions for the event stream.
+	// Telemetry (see trace.go and metrics.go). rec is nil when
+	// Config.Events is not set; sessID numbers pre-execution sessions for
+	// the event stream.
 	rec    *obs.Recorder
 	sessID uint64
 	mtr    mtrState
@@ -339,9 +338,7 @@ func RunContext(ctx context.Context, p *prog.Program, cfg Config) (*Result, erro
 	loopEnd := perf.Now()
 	loopNanos := uint64(loopEnd - loopStart)
 	if s.tmr.on {
-		// Final partial stage window, published before the telemetry
-		// flush below so its KindSpan events reach the sinks.
-		s.flushStageNanos(loopEnd)
+		s.flushStageNanos(loopEnd) // final partial stage window
 	}
 	// Deliver buffered telemetry even when the run aborted: a partial
 	// event stream is exactly what a deadlock diagnosis needs.
@@ -446,18 +443,7 @@ func newSim(p *prog.Program, cfg Config) (*sim, error) {
 		s.stride = newStridePrefetcher(256, cfg.StrideDegree)
 	}
 
-	// Telemetry sinks share one recorder; each keeps its own cycle window.
-	// A Trace writer without TraceCycles is the documented "off" state.
-	if (cfg.Trace != nil && cfg.TraceCycles > 0) || cfg.Events != nil {
-		rec := obs.NewRecorder()
-		if cfg.Trace != nil && cfg.TraceCycles > 0 {
-			rec.Attach(obs.NewText(cfg.Trace), cfg.TraceCycles)
-		}
-		if cfg.Events != nil {
-			rec.Attach(cfg.Events, cfg.EventCycles)
-		}
-		s.rec = rec
-	}
+	s.rec = obs.NewRecorder(cfg.Events, cfg.EventCycles)
 
 	if cfg.Perf != nil {
 		s.tmr.init(cfg.Perf)

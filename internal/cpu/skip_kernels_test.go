@@ -134,14 +134,7 @@ func runSkipSetting(p *prog.Program, cfg cpu.Config) skipRun {
 		return skipRun{err: err}
 	}
 	res.Timing = nil
-	// Span events carry host nanoseconds, which differ from run to run.
-	events := col.Events[:0:0]
-	for _, e := range col.Events {
-		if e.Kind != obs.KindSpan {
-			events = append(events, e)
-		}
-	}
-	return skipRun{res: res, events: events, skipped: reg.Counter("cpu.cycles.skipped").Value()}
+	return skipRun{res: res, events: col.Events, skipped: reg.Counter("cpu.cycles.skipped").Value()}
 }
 
 // skipPrograms returns every paper kernel's SPEAR binary and every

@@ -3,7 +3,6 @@ package cpu
 import (
 	"math/bits"
 
-	"spear/internal/obs"
 	"spear/internal/perf"
 )
 
@@ -13,9 +12,8 @@ import (
 // stage. At the end of each run-loop window (windowMask+1 cycles) and of
 // the loop itself, the window's measured wall time is split over the
 // stages in proportion to their sampled nanos, published to the
-// registry's cpu.stage.<name>.ns counters and, when telemetry is
-// recording, emitted as one obs KindSpan event per stage; the whole-run
-// totals land in Result.Timing. With Config.Perf nil every lap is one
+// registry's cpu.stage.<name>.ns counters; the whole-run totals land in
+// Result.Timing. With Config.Perf nil every lap is one
 // predictable branch.
 
 // Stage bucket indices. "book" is the begin/end-of-cycle bookkeeping
@@ -149,24 +147,16 @@ func splitWindow(window uint64, sampled *[numStages]uint64) [numStages]uint64 {
 }
 
 // flushStageNanos ends the current window at now: its wall time is
-// split over the stages and published, to the registry counters always
-// and as one KindSpan event per nonzero stage when telemetry is
-// recording this cycle.
+// split over the stages and added to the whole-run totals and the
+// registry counters.
 func (s *sim) flushStageNanos(now int64) {
 	st := &s.tmr
 	split := splitWindow(uint64(now-st.winStart), &st.acc)
 	st.acc = [numStages]uint64{}
 	st.winStart = now
-	emit := s.obsOn()
 	for i, ns := range split {
-		if ns == 0 {
-			continue
-		}
 		st.tot[i] += ns
 		st.ctr[i].Add(ns)
-		if emit {
-			s.emit(obs.Event{Kind: obs.KindSpan, Arg: ns, Text: "cpu.stage." + stageNames[i]})
-		}
 	}
 }
 

@@ -33,8 +33,7 @@ func TestTimingDoesNotChangeSimulation(t *testing.T) {
 				cfg := cpu.SPEARConfig(128, false)
 				cfg.Perf = reg
 				// The collector records the first two windows only: every
-				// cycle emits several events, and the flushes at cycles
-				// 65536 and 131072 are what this run adds.
+				// cycle emits several events.
 				cfg.Events, cfg.EventCycles = events, 2<<16+1
 				res, err := cpu.Run(prep.Ref, cfg)
 				if err != nil {
@@ -47,17 +46,7 @@ func TestTimingDoesNotChangeSimulation(t *testing.T) {
 				t.Fatalf("%s ran %d cycles; want more than two windows", name, off.Cycles)
 			}
 			on := run(perf.NewRegistry(), nil)
-			col := &obs.Collector{}
-			onObs := run(perf.NewRegistry(), col)
-			spans := 0
-			for _, e := range col.Events {
-				if e.Kind == obs.KindSpan {
-					spans++
-				}
-			}
-			if spans == 0 {
-				t.Error("no KindSpan events reached the collector")
-			}
+			onObs := run(perf.NewRegistry(), &obs.Collector{})
 			if off.Timing != nil || on.Timing == nil || onObs.Timing == nil {
 				t.Fatalf("Timing set on the wrong runs: off %v, on %v, on+obs %v",
 					off.Timing != nil, on.Timing != nil, onObs.Timing != nil)

@@ -4,7 +4,6 @@ import (
 	"math/big"
 	"testing"
 
-	"spear/internal/obs"
 	"spear/internal/perf"
 )
 
@@ -78,43 +77,6 @@ func TestTimingCoverage(t *testing.T) {
 	}
 	if ctrSum != sum {
 		t.Errorf("registry stage counters sum to %d, Timing to %d", ctrSum, sum)
-	}
-}
-
-// TestTimingEmitsSpanEvents checks the obs integration: with both perf
-// and an event sink attached, stage rollups appear as KindSpan events
-// and their nanos match the Result's stage totals (every flush while
-// recording is also emitted; the final flush happens in RunContext
-// before the recorder is flushed, while obsOn still reports the last
-// cycle, so totals line up on runs shorter than one window).
-func TestTimingEmitsSpanEvents(t *testing.T) {
-	p := assemble(t, corePrograms["counted loop"])
-	cfg := fastConfig()
-	cfg.Perf = perf.NewRegistry()
-	col := &obs.Collector{}
-	cfg.Events = col
-	res, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cycles > windowMask {
-		t.Skipf("kernel runs %d cycles; test assumes a single flush window", res.Cycles)
-	}
-	spanNs := map[string]uint64{}
-	spans := 0
-	for _, e := range col.Events {
-		if e.Kind == obs.KindSpan {
-			spans++
-			spanNs[e.Text] += e.Arg
-		}
-	}
-	if spans == 0 {
-		t.Fatal("no KindSpan events emitted")
-	}
-	for _, st := range res.Timing.Stages {
-		if st.Nanos != spanNs["cpu.stage."+st.Name] {
-			t.Errorf("stage %s: events carry %d ns, Timing %d", st.Name, spanNs["cpu.stage."+st.Name], st.Nanos)
-		}
 	}
 }
 

@@ -7,12 +7,9 @@ import (
 )
 
 // Telemetry emission: the simulator reports pipeline activity as typed
-// obs.Events through a single recorder. Two consumer paths share it:
-//
-//   - Config.Trace + TraceCycles attaches a human-readable text sink
-//     (spearsim -trace), bounded to the first TraceCycles cycles.
-//   - Config.Events + EventCycles attaches a structured sink (JSONL or
-//     binary, spearsim -events), 0 meaning the whole run.
+// obs.Events through one recorder over Config.Events, bounded to the
+// first Config.EventCycles cycles (0 = the whole run). spearsim -events
+// gives it a JSONL writer, spearsim -trace a human-readable text writer.
 //
 // Every emit helper is guarded by obsOn(), a nil-safe check that makes
 // the disabled path a single comparison with zero allocations (asserted
@@ -27,19 +24,6 @@ func (s *sim) emit(ev obs.Event) {
 	ev.Cycle = s.cycle
 	s.rec.Emit(ev)
 }
-
-// Event names used by the tests; they mirror the obs.Kind strings.
-const (
-	evFetch   = "fetch"
-	evDisp    = "dispatch"
-	evExtract = "extract"
-	evTrigger = "trigger"
-	evIssue   = "issue"
-	evCommit  = "commit"
-	evFlush   = "flush"
-	evSquash  = "squash"
-	evFault   = "fault"
-)
 
 // memAddr returns the entry's memory operand address, 0 for non-memory
 // instructions (the event schema reserves Addr for real addresses).

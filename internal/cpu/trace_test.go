@@ -3,19 +3,21 @@ package cpu
 import (
 	"strings"
 	"testing"
+
+	"spear/internal/obs"
 )
 
 func TestTraceEmitsPipelineEvents(t *testing.T) {
 	p := compileSPEAR(t, 41, 42)
 	cfg := SPEARConfig(128, false)
 	var buf strings.Builder
-	cfg.Trace = &buf
-	cfg.TraceCycles = 4000
+	cfg.Events, cfg.EventCycles = obs.NewText(&buf), 4000
 	if _, err := Run(p, cfg); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{evFetch, evDisp, evExtract, evTrigger, evCommit, "[marked]"} {
+	for _, want := range []string{obs.KindFetch.String(), obs.KindDispatch.String(), obs.KindExtract.String(),
+		obs.KindTrigger.String(), obs.KindCommit.String(), "[marked]"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing %q events", want)
 		}
@@ -29,18 +31,16 @@ func TestTraceBoundedByTraceCycles(t *testing.T) {
 	p := assemble(t, corePrograms["counted loop"])
 	cfg := fastConfig()
 	var small, large strings.Builder
-	cfg.Trace = &small
-	cfg.TraceCycles = 10
+	cfg.Events, cfg.EventCycles = obs.NewText(&small), 10
 	if _, err := Run(p, cfg); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Trace = &large
-	cfg.TraceCycles = 100
+	cfg.Events, cfg.EventCycles = obs.NewText(&large), 100
 	if _, err := Run(p, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if small.Len() >= large.Len() {
-		t.Errorf("trace did not grow with TraceCycles: %d vs %d bytes", small.Len(), large.Len())
+		t.Errorf("trace did not grow with EventCycles: %d vs %d bytes", small.Len(), large.Len())
 	}
 }
 
@@ -52,8 +52,7 @@ func TestTraceDoesNotChangeTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	cfg.Trace = &buf
-	cfg.TraceCycles = 1000
+	cfg.Events, cfg.EventCycles = obs.NewText(&buf), 1000
 	r2, err := Run(p, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"spear/internal/cpu"
+	"spear/internal/obs"
 	"spear/internal/prog"
 )
 
@@ -354,7 +355,7 @@ func TestRunWatchdog(t *testing.T) {
 	}
 }
 
-// panicWriter is a trace sink that panics on its first write: a panic
+// panicWriter is a trace destination that panics on its first write: a panic
 // raised from inside cpu.RunContext.
 type panicWriter struct{}
 
@@ -365,7 +366,7 @@ func TestRunPanicIsolation(t *testing.T) {
 	opts.RunTimeout = 0
 	s := derivedSuite(opts, mcfPrepared(t))
 	cfg := cpu.BaselineConfig()
-	cfg.Trace, cfg.TraceCycles = panicWriter{}, 100
+	cfg.Events, cfg.EventCycles = obs.NewText(panicWriter{}), 100
 	rep := s.SweepReportContext(context.Background(), "panic", []cpu.Config{cfg}, nil)
 	if row := rep.Rows[0]; !strings.Contains(row.Error, "panic in simulation") {
 		t.Errorf("row %+v, want recovered panic", row)

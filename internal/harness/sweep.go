@@ -38,7 +38,7 @@ func (s *Suite) runKey(p *Prepared, cfg cpu.Config) string {
 	// Hooks, fault-injection overrides, and the perf registry are
 	// process-local state, not part of the machine's identity (and funcs
 	// or pointers render as addresses).
-	c.Trace, c.Events, c.PTextOverride, c.Perf = nil, nil, nil, nil
+	c.Events, c.PTextOverride, c.Perf = nil, nil, nil
 	return journal.Hash(
 		"kernel="+p.Kernel.Name,
 		fmt.Sprintf("compiler=%+v", s.Opts.Compiler),

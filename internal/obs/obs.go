@@ -1,15 +1,16 @@
 // Package obs is the simulator's structured telemetry layer: typed
 // pipeline events, a ring-buffered recorder that costs nothing when
-// disabled, and pluggable writers (JSONL for tooling, human-readable text
-// for -trace).
+// disabled, and interchangeable writers (JSONL for tooling with
+// spearsim -events, human-readable text for spearsim -trace).
 //
 // The cycle core emits one Event per interesting micro-architectural
 // occurrence — fetch, dispatch, p-thread extraction, trigger transitions,
 // issue, commit, flush, squash, contained faults, and pre-execution
 // session begin/end. Events are fixed-shape values; the recorder batches
-// them in a reusable ring and fans each flush out to its writers, so the
-// enabled path allocates only inside the writers and the disabled path is
-// a single nil check at every call site.
+// them in a reusable ring and hands each flush to its one writer, so the
+// enabled path allocates only inside the writer and the disabled path is
+// a single nil check at every call site. Kind values 12-16 are retired
+// and must not be reused.
 package obs
 
 // Kind identifies the pipeline event type.
@@ -29,14 +30,6 @@ const (
 	KindSessionEnd
 )
 
-// KindSpan is a wall-clock timing rollup from the perf layer: Text names
-// the span (e.g. a pipeline stage bucket), Arg carries the accumulated
-// host nanoseconds for the reporting window. Emitted at each
-// per-64K-cycle stage flush and once at end of run. Values 12-15 belonged
-// to retired storage-health kinds; KindSpan keeps 16 so the Kind values
-// stay stable.
-const KindSpan Kind = 16
-
 var kindNames = [...]string{
 	KindFetch:        "fetch",
 	KindDispatch:     "dispatch",
@@ -49,7 +42,6 @@ var kindNames = [...]string{
 	KindFault:        "fault",
 	KindSessionBegin: "session-begin",
 	KindSessionEnd:   "session-end",
-	KindSpan:         "span",
 }
 
 func (k Kind) String() string {
@@ -100,62 +92,44 @@ type Event struct {
 	Text  string
 }
 
-// Writer consumes batches of events in nondecreasing cycle order.
+// Writer consumes batches of events in nondecreasing cycle order. Its
+// owner, not the Recorder, flushes and closes what lies beneath it.
 type Writer interface {
 	WriteEvents([]Event) error
-	Close() error
 }
 
-type sink struct {
-	w      Writer
-	cycles uint64 // only events with Cycle < cycles are delivered; 0 = all
-	broken bool   // a write failed; the sink is dropped from further flushes
-}
-
-// Recorder buffers events and fans them out to its writers. A nil
-// *Recorder is a valid, permanently inactive recorder.
+// Recorder buffers events for one writer, bounded to the events of the
+// first cycles cycles. A nil *Recorder is a valid, permanently inactive
+// recorder.
 type Recorder struct {
-	sinks []sink
-	buf   []Event
-
-	unlimited bool   // some sink has no cycle limit
-	maxCycles uint64 // max over limited sinks
-	err       error  // first writer error
+	w      Writer
+	cycles uint64 // only events with Cycle < cycles are recorded; 0 = all
+	buf    []Event
+	err    error // first writer error; nothing is written after it
 }
 
 // ringCap is the recorder's batch size; flushes happen when it fills.
 const ringCap = 1024
 
-// NewRecorder builds a recorder with no sinks; Attach adds them.
-func NewRecorder() *Recorder {
-	return &Recorder{buf: make([]Event, 0, ringCap)}
-}
-
-// Attach adds a writer that receives events for the first `cycles` cycles
-// (0 = unlimited). It returns the recorder for chaining.
-func (r *Recorder) Attach(w Writer, cycles uint64) *Recorder {
-	r.sinks = append(r.sinks, sink{w: w, cycles: cycles})
-	if cycles == 0 {
-		r.unlimited = true
-	} else if cycles > r.maxCycles {
-		r.maxCycles = cycles
+// NewRecorder builds a recorder that delivers to w the events of the
+// first cycles cycles (0 = the whole run). A nil w gives the nil,
+// inactive recorder.
+func NewRecorder(w Writer, cycles uint64) *Recorder {
+	if w == nil {
+		return nil
 	}
-	return r
+	return &Recorder{w: w, cycles: cycles, buf: make([]Event, 0, ringCap)}
 }
 
-// Active reports whether any sink still wants events at the given cycle.
-// It is nil-safe and is the cheap guard call sites use before building an
+// Active reports whether the writer wants events at the given cycle. It
+// is nil-safe and is the cheap guard call sites use before building an
 // Event.
 func (r *Recorder) Active(cycle uint64) bool {
-	if r == nil || len(r.sinks) == 0 {
-		return false
-	}
-	return r.unlimited || cycle < r.maxCycles
+	return r != nil && (r.cycles == 0 || cycle < r.cycles)
 }
 
 // Emit buffers one event, flushing when the ring fills. Callers must have
-// checked Active; Emit does not re-check the cycle window (per-sink limits
-// are applied at flush).
+// checked Active at the event's cycle.
 func (r *Recorder) Emit(ev Event) {
 	r.buf = append(r.buf, ev)
 	if len(r.buf) >= ringCap {
@@ -163,52 +137,16 @@ func (r *Recorder) Emit(ev Event) {
 	}
 }
 
-// Flush delivers buffered events to every sink, applying per-sink cycle
-// limits. Write errors disable the failing sink and are retained in Err.
+// Flush delivers the buffered events to the writer. The first write
+// error is retained in Err, and later flushes drop their events.
 func (r *Recorder) Flush() {
 	if r == nil || len(r.buf) == 0 {
 		return
 	}
-	for i := range r.sinks {
-		s := &r.sinks[i]
-		if s.broken {
-			continue
-		}
-		evs := r.buf
-		if s.cycles != 0 {
-			// Events arrive in nondecreasing cycle order: cut the suffix
-			// past this sink's window.
-			n := len(evs)
-			for n > 0 && evs[n-1].Cycle >= s.cycles {
-				n--
-			}
-			evs = evs[:n]
-		}
-		if len(evs) == 0 {
-			continue
-		}
-		if err := s.w.WriteEvents(evs); err != nil {
-			s.broken = true
-			if r.err == nil {
-				r.err = err
-			}
-		}
+	if r.err == nil {
+		r.err = r.w.WriteEvents(r.buf)
 	}
 	r.buf = r.buf[:0]
-}
-
-// Close flushes and closes every sink.
-func (r *Recorder) Close() error {
-	if r == nil {
-		return nil
-	}
-	r.Flush()
-	for i := range r.sinks {
-		if err := r.sinks[i].w.Close(); err != nil && r.err == nil {
-			r.err = err
-		}
-	}
-	return r.err
 }
 
 // Err returns the first writer error, if any.

@@ -76,14 +76,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestKindStringsRoundTrip(t *testing.T) {
-	for k := KindFetch; k <= KindSpan; k++ {
-		if k > KindSessionEnd && k < KindSpan {
-			// Retired storage-health kinds: the values stay unused.
-			if name := k.String(); name != "unknown" {
-				t.Errorf("retired kind %d still named %q", k, name)
-			}
-			continue
-		}
+	for k := KindFetch; k <= KindSessionEnd; k++ {
 		name := k.String()
 		if name == "unknown" {
 			t.Fatalf("kind %d has no name", k)
@@ -93,54 +86,71 @@ func TestKindStringsRoundTrip(t *testing.T) {
 			t.Errorf("ParseKind(%q) = %v, %v", name, back, ok)
 		}
 	}
+	for k := KindSessionEnd + 1; k <= 16; k++ {
+		// Retired kinds: the values stay unused.
+		if name := k.String(); name != "unknown" {
+			t.Errorf("retired kind %d still named %q", k, name)
+		}
+	}
 	if _, ok := ParseKind("bogus"); ok {
 		t.Error("ParseKind accepted an unknown name")
 	}
 }
 
-func TestRecorderPerSinkCycleLimits(t *testing.T) {
-	all, first := &Collector{}, &Collector{}
-	r := NewRecorder().Attach(all, 0).Attach(first, 5)
+func TestRecorderCycleBound(t *testing.T) {
+	first := &Collector{}
+	r := NewRecorder(first, 5)
 	for _, e := range sampleEvents() {
 		if r.Active(e.Cycle) {
 			r.Emit(e)
 		}
 	}
-	if err := r.Close(); err != nil {
+	r.Flush()
+	if err := r.Err(); err != nil {
 		t.Fatal(err)
-	}
-	if len(all.Events) != len(sampleEvents()) {
-		t.Errorf("unlimited sink got %d events, want %d", len(all.Events), len(sampleEvents()))
 	}
 	for _, e := range first.Events {
 		if e.Cycle >= 5 {
-			t.Errorf("limited sink received event at cycle %d", e.Cycle)
+			t.Errorf("bounded recorder delivered an event at cycle %d", e.Cycle)
 		}
 	}
 	if len(first.Events) != 6 {
-		t.Errorf("limited sink got %d events, want 6", len(first.Events))
+		t.Errorf("bounded recorder delivered %d events, want 6", len(first.Events))
+	}
+
+	all := &Collector{}
+	r = NewRecorder(all, 0)
+	for _, e := range sampleEvents() {
+		if !r.Active(e.Cycle) {
+			t.Fatalf("unbounded recorder inactive at cycle %d", e.Cycle)
+		}
+		r.Emit(e)
+	}
+	r.Flush()
+	if len(all.Events) != len(sampleEvents()) {
+		t.Errorf("unbounded recorder delivered %d events, want %d", len(all.Events), len(sampleEvents()))
 	}
 }
 
 func TestRecorderInactiveWhenPastEveryLimit(t *testing.T) {
-	r := NewRecorder().Attach(&Collector{}, 10)
+	r := NewRecorder(&Collector{}, 10)
 	if !r.Active(9) {
 		t.Error("active window rejected")
 	}
 	if r.Active(10) {
-		t.Error("recorder active past its only sink's window")
+		t.Error("recorder active past its cycle bound")
 	}
 }
 
 func TestRecorderNilSafe(t *testing.T) {
-	var r *Recorder
+	r := NewRecorder(nil, 0)
+	if r != nil {
+		t.Fatal("a recorder without a writer is not the nil recorder")
+	}
 	if r.Active(0) {
 		t.Error("nil recorder active")
 	}
 	r.Flush()
-	if err := r.Close(); err != nil {
-		t.Error(err)
-	}
 	if err := r.Err(); err != nil {
 		t.Error(err)
 	}
@@ -148,42 +158,47 @@ func TestRecorderNilSafe(t *testing.T) {
 
 func TestRecorderFlushesOnRingFull(t *testing.T) {
 	c := &Collector{}
-	r := NewRecorder().Attach(c, 0)
+	r := NewRecorder(c, 0)
 	for i := 0; i < ringCap+10; i++ {
 		r.Emit(Event{Cycle: uint64(i), Kind: KindFetch})
 	}
 	if len(c.Events) < ringCap {
-		t.Errorf("ring full did not flush: sink has %d events", len(c.Events))
+		t.Errorf("ring full did not flush: writer has %d events", len(c.Events))
 	}
 	r.Flush()
 	if len(c.Events) != ringCap+10 {
-		t.Errorf("sink has %d events, want %d", len(c.Events), ringCap+10)
+		t.Errorf("writer has %d events, want %d", len(c.Events), ringCap+10)
 	}
 }
 
-type failingWriter struct{ n int }
+// failingWriter fails its first write and records every later one.
+type failingWriter struct {
+	calls int
+	Collector
+}
 
 func (f *failingWriter) WriteEvents(evs []Event) error {
-	f.n++
-	return os.ErrInvalid
+	f.calls++
+	if f.calls == 1 {
+		return os.ErrInvalid
+	}
+	return f.Collector.WriteEvents(evs)
 }
-func (f *failingWriter) Close() error { return nil }
 
 func TestRecorderDisablesBrokenSink(t *testing.T) {
 	fw := &failingWriter{}
-	ok := &Collector{}
-	r := NewRecorder().Attach(fw, 0).Attach(ok, 0)
+	r := NewRecorder(fw, 0)
 	r.Emit(Event{Cycle: 1})
 	r.Flush()
+	if r.Err() != os.ErrInvalid {
+		t.Fatalf("Err() = %v, want the failed write's error", r.Err())
+	}
 	r.Emit(Event{Cycle: 2})
 	r.Flush()
-	if fw.n != 1 {
-		t.Errorf("broken sink written %d times, want 1", fw.n)
+	if fw.calls != 1 || len(fw.Events) != 0 {
+		t.Errorf("writer called %d times with %d events delivered after its failure, want 1 call and none", fw.calls, len(fw.Events))
 	}
-	if len(ok.Events) != 2 {
-		t.Errorf("healthy sink got %d events, want 2", len(ok.Events))
-	}
-	if r.Err() == nil {
-		t.Error("writer error not retained")
+	if r.Err() != os.ErrInvalid {
+		t.Errorf("Err() = %v after a later flush, want the first error", r.Err())
 	}
 }

@@ -174,8 +174,6 @@ func (t *TextWriter) WriteEvents(evs []Event) error {
 	return nil
 }
 
-func (t *TextWriter) Close() error { return nil }
-
 // Collector buffers events in memory (tests and in-process consumers).
 type Collector struct {
 	Events []Event
@@ -185,5 +183,3 @@ func (c *Collector) WriteEvents(evs []Event) error {
 	c.Events = append(c.Events, evs...)
 	return nil
 }
-
-func (c *Collector) Close() error { return nil }

@@ -14,13 +14,12 @@ func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
 	r.Counter("c").Add(1)
 	r.Gauge("g").Set(3.5)
-	r.Histogram("h", []uint64{10, 100}).Observe(7)
 	sp := r.Span("s").Start()
 	if sp.End() != 0 {
 		t.Fatal("inert span reported nonzero duration")
 	}
 	snap := r.Snapshot()
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms)+len(snap.Spans) != 0 {
+	if len(snap.Counters)+len(snap.Gauges)+len(snap.Spans) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", snap)
 	}
 }
@@ -30,12 +29,10 @@ func TestNilRegistryIsInert(t *testing.T) {
 func TestDisabledPathDoesNotAllocate(t *testing.T) {
 	var c *Counter
 	var g *Gauge
-	var h *Histogram
 	var st *SpanTimer
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(1)
 		g.Set(2)
-		h.Observe(3)
 		st.Start().End()
 	})
 	if allocs != 0 {
@@ -49,12 +46,10 @@ func TestEnabledHotPathDoesNotAllocate(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
 	g := r.Gauge("g")
-	h := r.Histogram("h", []uint64{10, 100, 1000})
 	st := r.Span("s")
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(1)
 		g.Set(2)
-		h.Observe(50)
 		st.Start().End()
 	})
 	if allocs != 0 {
@@ -78,29 +73,6 @@ func TestCounterGaugeValues(t *testing.T) {
 	g.Set(-2.5)
 	if got := g.Value(); got != -2.5 {
 		t.Fatalf("gauge = %v, want -2.5", got)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", []uint64{10, 100})
-	for _, v := range []uint64{1, 10, 11, 100, 101, 5000} {
-		h.Observe(v)
-	}
-	snap := r.Snapshot()
-	if len(snap.Histograms) != 1 {
-		t.Fatalf("want 1 histogram, got %d", len(snap.Histograms))
-	}
-	hv := snap.Histograms[0]
-	// <=10: {1,10}; <=100: {11,100}; overflow: {101,5000}
-	want := []uint64{2, 2, 2}
-	for i, c := range hv.Counts {
-		if c != want[i] {
-			t.Fatalf("bucket %d = %d, want %d (all: %v)", i, c, want[i], hv.Counts)
-		}
-	}
-	if hv.Count != 6 || hv.Sum != 1+10+11+100+101+5000 {
-		t.Fatalf("count/sum = %d/%d", hv.Count, hv.Sum)
 	}
 }
 
@@ -136,12 +108,10 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			// Registration races with use and with Snapshot on purpose.
 			c := r.Counter("hits")
-			h := r.Histogram("lat", []uint64{100, 1000})
 			st := r.Span("work")
 			g := r.Gauge("last")
 			for i := 0; i < iters; i++ {
 				c.Add(1)
-				h.Observe(uint64(i))
 				g.Set(float64(i))
 				st.Start().End()
 				if i%500 == 0 {
@@ -153,9 +123,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	wg.Wait()
 	if got := r.Counter("hits").Value(); got != workers*iters {
 		t.Fatalf("lost counter updates: %d, want %d", got, workers*iters)
-	}
-	if got := r.Histogram("lat", nil).Count(); got != workers*iters {
-		t.Fatalf("lost histogram updates: %d, want %d", got, workers*iters)
 	}
 	if got := r.Span("work").Count(); got != workers*iters {
 		t.Fatalf("lost span updates: %d, want %d", got, workers*iters)

@@ -1,9 +1,10 @@
 // Package perf is the simulator's performance-observability layer: a
-// lock-free metrics registry (counters, gauges, fixed-bucket histograms,
-// span timers) with an atomic snapshot API, hierarchical wall-clock span
-// timing, and the spear-bench/1 perf-baseline document that holds
-// measured gains across changes (write with bash bench/run.sh --out,
-// diff with spearstat -bench).
+// lock-free metrics registry (counters, gauges, span timers) with an
+// atomic snapshot API, hierarchical wall-clock span timing, the pprof
+// helpers the commands share (Profiled, MountPprof), and the
+// spear-bench/1 perf-baseline document that holds measured gains across
+// changes (write with bash bench/run.sh --out, diff with spearstat
+// -bench).
 //
 // The package follows the obs.Recorder zero-cost discipline: a nil
 // *Registry is a valid, permanently disabled registry, every metric
@@ -72,54 +73,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram counts observations into fixed buckets chosen at
-// registration. Bounds are upper-inclusive bucket edges; one implicit
-// overflow bucket catches everything above the last bound. Observe is
-// one binary search plus three atomic adds; a nil *Histogram ignores
-// observations.
-type Histogram struct {
-	bounds []uint64
-	counts []atomic.Uint64 // len(bounds)+1; last = overflow
-	sum    atomic.Uint64
-	n      atomic.Uint64
-}
-
-// Observe records one value. Nil-safe.
-func (h *Histogram) Observe(v uint64) {
-	if h == nil {
-		return
-	}
-	// Binary search for the first bound >= v.
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if h.bounds[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	h.counts[lo].Add(1)
-	h.sum.Add(v)
-	h.n.Add(1)
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
-}
-
-// Sum returns the sum of observed values (0 on nil).
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // SpanTimer aggregates a named span region: total nanoseconds, entry
 // count, and the maximum single duration. Obtain one from
 // Registry.Span, then Start/End around the region. A nil *SpanTimer
@@ -145,8 +98,8 @@ type Span struct {
 }
 
 // End records the elapsed time and returns it in nanoseconds (0 when
-// inert), so call sites can reuse the measurement (e.g. for an obs
-// event) without reading the clock again.
+// inert), so call sites can reuse the measurement without reading the
+// clock again.
 func (s Span) End() uint64 {
 	if s.t == nil {
 		return 0
@@ -183,31 +136,24 @@ func (t *SpanTimer) Count() uint64 {
 	return t.count.Load()
 }
 
-// Registry holds named metrics. Registration (Counter/Gauge/Histogram/
-// Span) takes a mutex and may allocate; the returned handles are then
+// Registry holds named metrics. Registration (Counter/Gauge/Span) takes
+// a mutex and may allocate; the returned handles are then
 // lock-free. Asking twice for the same name returns the same handle, so
 // concurrent registration from pool workers is safe and cheap enough
 // for per-run (not per-cycle) call sites.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*histEntry
-	spans      map[string]*SpanTimer
-}
-
-type histEntry struct {
-	h      *Histogram
-	bounds []uint64
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	spans    map[string]*SpanTimer
 }
 
 // NewRegistry returns an empty, enabled registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
-		histograms: map[string]*histEntry{},
-		spans:      map[string]*SpanTimer{},
+		counters: map[string]*Counter{},
+		gauges:   map[string]*Gauge{},
+		spans:    map[string]*SpanTimer{},
 	}
 }
 
@@ -242,25 +188,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, registering it with the given
-// bucket bounds on first use (later calls reuse the first registration's
-// bounds). Nil-safe.
-func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.histograms[name]
-	if !ok {
-		b := append([]uint64(nil), bounds...)
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		e = &histEntry{h: &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}, bounds: b}
-		r.histograms[name] = e
-	}
-	return e.h
-}
-
 // Span returns the named span timer, registering it on first use.
 // Nil-safe.
 func (r *Registry) Span(name string) *SpanTimer {
@@ -283,10 +210,9 @@ func (r *Registry) Span(name string) *SpanTimer {
 // as a whole is not a consistent cut — fine for monitoring and bench
 // documents, which only need each metric to be a real value.
 type Snapshot struct {
-	Counters   []CounterValue   `json:"counters,omitempty"`
-	Gauges     []GaugeValue     `json:"gauges,omitempty"`
-	Histograms []HistogramValue `json:"histograms,omitempty"`
-	Spans      []SpanValue      `json:"spans,omitempty"`
+	Counters []CounterValue `json:"counters,omitempty"`
+	Gauges   []GaugeValue   `json:"gauges,omitempty"`
+	Spans    []SpanValue    `json:"spans,omitempty"`
 }
 
 // CounterValue is one counter in a snapshot.
@@ -299,16 +225,6 @@ type CounterValue struct {
 type GaugeValue struct {
 	Name  string  `json:"name"`
 	Value float64 `json:"value"`
-}
-
-// HistogramValue is one histogram in a snapshot. Counts has one entry
-// per bound plus a final overflow bucket.
-type HistogramValue struct {
-	Name   string   `json:"name"`
-	Bounds []uint64 `json:"bounds"`
-	Counts []uint64 `json:"counts"`
-	Sum    uint64   `json:"sum"`
-	Count  uint64   `json:"count"`
 }
 
 // SpanValue is one span timer in a snapshot.
@@ -333,25 +249,11 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugeValue{Name: name, Value: g.Value()})
 	}
-	for name, e := range r.histograms {
-		hv := HistogramValue{
-			Name:   name,
-			Bounds: e.bounds,
-			Counts: make([]uint64, len(e.h.counts)),
-			Sum:    e.h.Sum(),
-			Count:  e.h.Count(),
-		}
-		for i := range e.h.counts {
-			hv.Counts[i] = e.h.counts[i].Load()
-		}
-		s.Histograms = append(s.Histograms, hv)
-	}
 	for name, t := range r.spans {
 		s.Spans = append(s.Spans, SpanValue{Name: name, Nanos: t.TotalNanos(), Count: t.Count(), MaxNano: t.max.Load()})
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
-	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	sort.Slice(s.Spans, func(i, j int) bool { return s.Spans[i].Name < s.Spans[j].Name })
 	return s
 }

@@ -30,7 +30,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	netpprof "net/http/pprof"
 	"strconv"
 	"time"
 
@@ -79,11 +78,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
 	mux.Handle("GET /metrics", perf.Handler(s.Perf))
-	mux.HandleFunc("GET /debug/pprof/", netpprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", netpprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", netpprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", netpprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", netpprof.Trace)
+	perf.MountPprof(mux)
 	return mux
 }
 

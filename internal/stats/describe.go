@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Descriptive helpers for the telemetry tooling (spearstat): percentiles,
-// fixed-bucket histograms, and ASCII sparklines for interval time series.
+// Descriptive helpers for the telemetry tooling (spearstat): percentiles
+// and ASCII sparklines for interval time series.
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. It returns 0 for an empty
@@ -33,49 +33,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// HistogramBucket is one bin of a fixed-width histogram over [Lo, Hi).
-// The last bucket is closed on the right so the maximum is not dropped.
-type HistogramBucket struct {
-	Lo, Hi float64
-	Count  int
-}
-
-// Histogram bins xs into n equal-width buckets spanning [min, max]. It
-// returns nil for an empty slice or n <= 0; when every value is equal the
-// single populated bucket spans a unit interval around it.
-func Histogram(xs []float64, n int) []HistogramBucket {
-	if len(xs) == 0 || n <= 0 {
-		return nil
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	width := (hi - lo) / float64(n)
-	out := make([]HistogramBucket, n)
-	for i := range out {
-		out[i].Lo = lo + float64(i)*width
-		out[i].Hi = lo + float64(i+1)*width
-	}
-	out[n-1].Hi = hi
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i >= n {
-			i = n - 1
-		}
-		out[i].Count++
-	}
-	return out
 }
 
 // sparkRunes are the eight block heights a sparkline cell can take.

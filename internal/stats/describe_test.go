@@ -34,48 +34,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	h := Histogram(xs, 5)
-	if len(h) != 5 {
-		t.Fatalf("got %d buckets", len(h))
-	}
-	total := 0
-	for i, b := range h {
-		if b.Count == 0 {
-			t.Errorf("bucket %d empty", i)
-		}
-		total += b.Count
-	}
-	if total != len(xs) {
-		t.Errorf("buckets hold %d values, want %d", total, len(xs))
-	}
-	if h[0].Lo != 0 || h[len(h)-1].Hi != 10 {
-		t.Errorf("histogram spans [%v, %v], want [0, 10]", h[0].Lo, h[len(h)-1].Hi)
-	}
-	// The maximum lands in the last (right-closed) bucket.
-	if h[len(h)-1].Count < 1 {
-		t.Error("maximum value dropped")
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	if Histogram(nil, 4) != nil {
-		t.Error("empty input should produce no buckets")
-	}
-	if Histogram([]float64{1, 2}, 0) != nil {
-		t.Error("zero buckets should produce nil")
-	}
-	h := Histogram([]float64{3, 3, 3}, 4)
-	total := 0
-	for _, b := range h {
-		total += b.Count
-	}
-	if total != 3 {
-		t.Errorf("flat series binned %d of 3 values", total)
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	s := Sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7})
 	if utf8.RuneCountInString(s) != 8 {
