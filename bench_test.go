@@ -165,7 +165,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 //
 // The per-stage suite breaks the sweep's wall clock into its three cost
 // centres — the simulator's fetch→RUU→commit hot loop, the write-ahead
-// journal's group-committed appends, and report serialization — so a
+// journal's fsync'd appends, and report serialization — so a
 // regression flagged by `spearstat -bench` can be localized with
 // `go test -bench 'Stage' -benchtime 10x`. Every benchmark reports
 // allocations: the hot loop and the journal append path are supposed to
@@ -209,7 +209,7 @@ func benchCycleLoop(b *testing.B, kernel string, cfg cpu.Config) {
 }
 
 // BenchmarkStageJournalAppend measures the write-ahead journal's append
-// path — marshal, CRC frame, group commit, fsync — per record pair
+// path — marshal, CRC frame, write, fsync — per record pair
 // (started + done), the per-run journal overhead of a sweep.
 func BenchmarkStageJournalAppend(b *testing.B) {
 	dir := b.TempDir()

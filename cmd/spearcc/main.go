@@ -21,6 +21,7 @@ import (
 
 	"spear/internal/asm"
 	"spear/internal/exitcode"
+	"spear/internal/harness"
 	"spear/internal/prog"
 	"spear/internal/spearcc"
 	"spear/internal/workloads"
@@ -31,8 +32,10 @@ func main() {
 	workload := flag.String("workload", "", "named workload to build and compile")
 	out := flag.String("o", "", "output SPEAR binary path")
 	report := flag.Bool("report", false, "print the compilation report (d-loads, slices, live-ins)")
-	maxInstr := flag.Uint64("profile-instr", 4_000_000, "profiling instruction budget")
-	threshold := flag.Uint64("miss-threshold", 2048, "delinquent-load miss threshold")
+	// The defaults are the scaled profiling knobs sweeps simulate with.
+	def := harness.DefaultOptions().Compiler.Profile
+	maxInstr := flag.Uint64("profile-instr", def.MaxInstr, "profiling instruction budget")
+	threshold := flag.Uint64("miss-threshold", def.MissThreshold, "delinquent-load miss threshold")
 	flag.Parse()
 
 	if err := run(*in, *workload, *out, *report, *maxInstr, *threshold); err != nil {

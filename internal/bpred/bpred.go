@@ -24,14 +24,6 @@ type Stats struct {
 	Correct uint64
 }
 
-// HitRatio returns the fraction of correct conditional-branch predictions.
-func (s Stats) HitRatio() float64 {
-	if s.Lookups == 0 {
-		return 1
-	}
-	return float64(s.Correct) / float64(s.Lookups)
-}
-
 // Predictor is the front-end branch predictor. PCs are instruction indices.
 type Predictor struct {
 	cfg   Config

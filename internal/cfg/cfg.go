@@ -394,8 +394,3 @@ func (g *Graph) LoopInstrRange(loopID int) (lo, hi int) {
 	}
 	return lo, hi
 }
-
-// SameFunction reports whether two instructions belong to the same function.
-func (g *Graph) SameFunction(pc1, pc2 int) bool {
-	return g.FuncOf[g.BlockOf[pc1]] == g.FuncOf[g.BlockOf[pc2]]
-}

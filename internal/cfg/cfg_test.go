@@ -165,10 +165,10 @@ func TestFunctionsAndCallFallthrough(t *testing.T) {
 	if g.FuncOf[mEntry] != mEntry {
 		t.Error("main is not its own function entry")
 	}
-	if g.SameFunction(g.Prog.Labels["f"], 0) {
+	if g.FuncOf[fEntry] == g.FuncOf[mEntry] {
 		t.Error("f and main reported same function")
 	}
-	if !g.SameFunction(g.Prog.Labels["loop"], 0) {
+	if g.FuncOf[g.BlockOf[g.Prog.Labels["loop"]]] != g.FuncOf[mEntry] {
 		t.Error("loop and main entry reported different functions")
 	}
 	// The loop after the call must still be detected (call falls through).

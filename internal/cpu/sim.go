@@ -270,12 +270,11 @@ type sim struct {
 	stride *stridePrefetcher
 
 	// SPEAR state.
-	ptFor   map[int]*prog.PThread
-	marked  []bool
-	isDLoad []bool
-	mode    int
-	sess    session
-	pseq    uint64 // p-thread instruction sequence counter (all sessions)
+	ptFor  []*prog.PThread // PC-indexed; non-nil at delinquent loads
+	marked []bool
+	mode   int
+	sess   session
+	pseq   uint64 // p-thread instruction sequence counter (all sessions)
 
 	occAccum uint64 // sum of per-cycle IFQ occupancy
 
@@ -395,8 +394,7 @@ func newSim(p *prog.Program, cfg Config) (*sim, error) {
 
 	// Load the P-thread Table.
 	s.marked = make([]bool, len(p.Text))
-	s.isDLoad = make([]bool, len(p.Text))
-	s.ptFor = map[int]*prog.PThread{}
+	s.ptFor = make([]*prog.PThread, len(p.Text))
 	s.leafPLoad = make([]bool, len(p.Text))
 	if cfg.SPEAR {
 		s.health = map[int]*ptHealth{}
@@ -405,7 +403,6 @@ func newSim(p *prog.Program, cfg Config) (*sim, error) {
 		for i := range p.PThreads {
 			pt := &p.PThreads[i]
 			s.ptFor[pt.DLoad] = pt
-			s.isDLoad[pt.DLoad] = true
 			for _, m := range pt.Members {
 				s.marked[m] = true
 			}

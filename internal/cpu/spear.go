@@ -30,7 +30,7 @@ func (s *sim) preDecode(fe *ifqEntry) {
 		return
 	}
 	fe.marked = s.marked[fe.pc]
-	if s.mode != modeNormal || !s.isDLoad[fe.pc] {
+	if s.mode != modeNormal || s.ptFor[fe.pc] == nil {
 		return
 	}
 	if s.ifqCount() < s.triggerOccupancy() {
@@ -262,7 +262,7 @@ func (s *sim) extractStage() int {
 		extracted++
 		s.res.Extracted++
 		s.sess.extracted++
-		if s.isDLoad[fe.pc] {
+		if s.ptFor[fe.pc] != nil {
 			s.res.SessionsDone++
 			s.sess.extracted = 0 // budget is per chained session
 			s.recordCleanSession(fe.pc)

@@ -114,9 +114,8 @@ func TestLeafVsChainClassification(t *testing.T) {
 	}
 	s := &sim{cfg: cfg, prog: p}
 	s.marked = make([]bool, len(p.Text))
-	s.isDLoad = make([]bool, len(p.Text))
 	s.leafPLoad = make([]bool, len(p.Text))
-	s.ptFor = map[int]*prog.PThread{}
+	s.ptFor = make([]*prog.PThread, len(p.Text))
 	// Reuse Run to populate: simpler to re-derive here the way Run does.
 	res, err := Run(p, cfg)
 	if err != nil {

@@ -366,6 +366,3 @@ func b2i(b bool) int64 {
 
 // Reg reads integer register r (helper for tests and the harness).
 func (m *Machine) Reg(r isa.Reg) int64 { return m.R[r] }
-
-// FReg reads floating-point register f<i>.
-func (m *Machine) FReg(i int) float64 { return m.F[i] }

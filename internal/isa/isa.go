@@ -273,13 +273,6 @@ func (o Op) IsJump() bool {
 // IsControl reports whether the opcode changes control flow.
 func (o Op) IsControl() bool { return o.IsBranch() || o.IsJump() }
 
-// IsCall reports whether the opcode is a subroutine call.
-func (o Op) IsCall() bool { return o == JAL || o == JALR }
-
-// IsReturn reports whether the opcode is conventionally a subroutine return
-// (an indirect jump through the link register).
-func (o Op) IsReturn() bool { return o == JR }
-
 // IsFP reports whether the opcode executes in the floating-point pipeline.
 func (o Op) IsFP() bool {
 	c := o.Class()

@@ -58,12 +58,6 @@ func TestOpPredicates(t *testing.T) {
 	if !J.IsJump() || J.IsBranch() {
 		t.Error("J predicate wrong")
 	}
-	if !JAL.IsCall() || !JALR.IsCall() || JR.IsCall() {
-		t.Error("call predicates wrong")
-	}
-	if !JR.IsReturn() || JALR.IsReturn() {
-		t.Error("return predicates wrong")
-	}
 	if !FADD.IsFP() || ADD.IsFP() {
 		t.Error("FP predicates wrong")
 	}

@@ -145,10 +145,10 @@ type Config struct {
 	// FS is the filesystem the journal lives on (nil = the real one).
 	// Tests substitute an iofault.Faulty to inject I/O failures.
 	FS iofault.FS
-	// CommitRetries is the total number of attempts a group commit makes
-	// before failing its appends (default 3). Between attempts the file
-	// is truncated back to the last durable offset, so a torn write from
-	// a failed attempt never leaks into the journal.
+	// CommitRetries is the total number of attempts an append makes to
+	// write and fsync its record before failing (default 3). Between
+	// attempts the file is truncated back to the last durable offset, so
+	// a torn write from a failed attempt never leaks into the journal.
 	CommitRetries int
 	// NospcBackoff is the pause before retrying a commit that failed
 	// with ENOSPC, giving the operator (or a log rotator) a chance to
@@ -178,12 +178,9 @@ func (c Config) withDefaults() Config {
 // Writer appends records to the journal file, fsync'ing each one so that
 // a record returned from Append survives any subsequent crash.
 //
-// The file is owned by a single writer goroutine: concurrent Appends
-// enqueue marshalled lines and block until their record is durable.
-// Lines queued while an fsync is in progress are group-committed — one
-// Write and one Sync cover the whole batch — so a parallel sweep pays
-// roughly one fsync per disk flush rather than one per run. Records from
-// concurrent runs may interleave in any order; Replay keys records by
+// Append is safe for concurrent use: each call makes its own record
+// durable under one mutex, so records from concurrent runs land in
+// whatever order their appends take the lock. Replay keys records by
 // content hash, so journal order never matters for resume.
 //
 // Failed commits are retried: the file is truncated back to the last
@@ -191,13 +188,10 @@ func (c Config) withDefaults() Config {
 // and each recovery is counted in Config.Perf so degraded storage is
 // visible in the metrics.
 type Writer struct {
-	mu     sync.Mutex // guards closed and the send into reqs
+	mu     sync.Mutex // guards closed, f and off
 	closed bool
-	reqs   chan appendReq
-	done   chan struct{} // closed when the writer goroutine exits
 
 	cfg Config
-	fs  iofault.FS
 	f   iofault.File
 	off int64 // bytes known durably committed; failed commits truncate back to it
 
@@ -205,13 +199,6 @@ type Writer struct {
 	// Config.Perf.
 	cCommits, cBytes, cWriteNs, cFsyncNs *perf.Counter
 	cRetries, cBackoffs                  *perf.Counter
-}
-
-// appendReq is one marshalled line awaiting the writer goroutine; errc
-// receives the outcome of the write+fsync that made it durable.
-type appendReq struct {
-	line []byte
-	errc chan error
 }
 
 // Open opens (creating the directory if needed) the journal in dir for
@@ -262,7 +249,7 @@ func Resume(dir string, cfg Config) (*State, *Writer, error) {
 }
 
 // open creates dir if needed and opens the journal in it, which (unless
-// truncate) ends on a line boundary, and starts the writer goroutine.
+// truncate) ends on a line boundary.
 func open(dir string, truncate bool, cfg Config) (*Writer, error) {
 	fsys := cfg.FS
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
@@ -281,7 +268,7 @@ func open(dir string, truncate bool, cfg Config) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	w := &Writer{cfg: cfg, fs: fsys, f: f, reqs: make(chan appendReq, 64), done: make(chan struct{})}
+	w := &Writer{cfg: cfg, f: f}
 	w.cCommits = cfg.Perf.Counter("journal.commits")
 	w.cBytes = cfg.Perf.Counter("journal.bytes")
 	w.cWriteNs = cfg.Perf.Counter("journal.write.ns")
@@ -307,52 +294,7 @@ func open(dir string, truncate bool, cfg Config) (*Writer, error) {
 		_ = f.Close()
 		return nil, fmt.Errorf("journal: fsync parent dir: %w", err)
 	}
-	go w.serve()
 	return w, nil
-}
-
-// serve is the single writer goroutine: it owns the file, draining every
-// queued request into one batch per iteration so that one Write and one
-// Sync make a whole group of concurrent appends durable together.
-func (w *Writer) serve() {
-	defer close(w.done)
-	for {
-		req, ok := <-w.reqs
-		if !ok {
-			return
-		}
-		batch := []appendReq{req}
-	drain:
-		for {
-			select {
-			case r, ok := <-w.reqs:
-				if !ok {
-					w.commit(batch)
-					return
-				}
-				batch = append(batch, r)
-			default:
-				break drain
-			}
-		}
-		w.commit(batch)
-	}
-}
-
-// commit writes a batch of lines and fsyncs once, then acks every
-// requester with the shared outcome. Lines are concatenated into a
-// single Write: a crash can truncate the write but never reorder it, so
-// at most the batch's final surviving line is torn — exactly what the
-// reader tolerates.
-func (w *Writer) commit(batch []appendReq) {
-	var buf []byte
-	for _, r := range batch {
-		buf = append(buf, r.line...)
-	}
-	err := w.commitBytes(buf)
-	for _, r := range batch {
-		r.errc <- err
-	}
 }
 
 // commitBytes makes buf durable at the end of the journal, retrying
@@ -424,8 +366,7 @@ func trimTornTail(fsys iofault.FS, path string) error {
 var ErrClosed = errors.New("journal: writer closed")
 
 // Append writes one record and returns once it is durable (written and
-// fsync'd by the writer goroutine, possibly group-committed with other
-// concurrent appends). Append is safe for concurrent use.
+// fsync'd). Append is safe for concurrent use.
 func (w *Writer) Append(rec Record) error {
 	if err := rec.validate(); err != nil {
 		return err
@@ -437,36 +378,27 @@ func (w *Writer) Append(rec Record) error {
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	errc := make(chan error, 1)
-	// The lock covers the closed check and the send together so Close can
-	// never close reqs between them (a send on a closed channel panics).
+	line := frame(payload)
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return ErrClosed
 	}
-	w.reqs <- appendReq{line: frame(payload), errc: errc}
-	w.mu.Unlock()
-	if err := <-errc; err != nil {
+	if err := w.commitBytes(line); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
 }
 
-// Close drains pending appends, stops the writer goroutine, and closes
-// the underlying file. Close is idempotent; appends after Close fail
-// with ErrClosed.
+// Close closes the underlying file. Close is idempotent; appends after
+// Close fail with ErrClosed.
 func (w *Writer) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
-		<-w.done
 		return nil
 	}
 	w.closed = true
-	close(w.reqs)
-	w.mu.Unlock()
-	<-w.done
 	return w.f.Close()
 }
 

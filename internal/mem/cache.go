@@ -47,6 +47,13 @@ type cacheLine struct {
 	dirty   bool
 	lastUse uint64 // global LRU clock
 
+	// In-flight fill metadata (read by timed hierarchies only): ready is the
+	// cycle the block's memory fill completes. An L2 line also records
+	// fillBlock, the L1 block whose miss installed it, so an L1 refetch of
+	// that block from L2 inherits the fill's ready cycle.
+	ready     uint64
+	fillBlock uint32
+
 	// Prefetch-usefulness metadata (meaningful only while prefetched is
 	// set): the block was brought in by the helper thread, prefPC is the
 	// static PC of the load that filled it, touched records whether the
@@ -121,16 +128,10 @@ type victimInfo struct {
 	prefPC     int
 }
 
-// access looks up addr, allocating on miss. It reports whether the lookup
-// hit and whether a dirty block was written back.
-func (c *Cache) access(addr uint32, write bool, tid int) (hit, writeback bool) {
-	hit, writeback, _, _ = c.accessTrack(addr, write, tid)
-	return hit, writeback
-}
-
-// accessTrack is access plus the tracking hooks the prefetch-usefulness
-// accounting needs: the line that now holds the block and, on a miss that
-// displaced a valid line, a description of the victim.
+// accessTrack looks up addr, allocating on miss. It reports whether the
+// lookup hit, whether a dirty block was written back, the line that now
+// holds the block and, on a miss that displaced a valid line, a
+// description of the victim.
 func (c *Cache) accessTrack(addr uint32, write bool, tid int) (hit, writeback bool, line *cacheLine, evicted victimInfo) {
 	c.clock++
 	set := (addr >> c.setShift) & c.setMask
@@ -198,17 +199,7 @@ func (c *Cache) lineFor(addr uint32) *cacheLine {
 
 // Contains reports whether addr currently hits without disturbing LRU or
 // statistics (used by tests and by prefetch-usefulness accounting).
-func (c *Cache) Contains(addr uint32) bool {
-	set := (addr >> c.setShift) & c.setMask
-	tag := addr >> c.setShift >> uint(log2(c.cfg.Sets))
-	ways := c.lines[int(set)*c.cfg.Ways : int(set+1)*c.cfg.Ways]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Contains(addr uint32) bool { return c.lineFor(addr) != nil }
 
 // Flush invalidates all lines and clears statistics.
 func (c *Cache) Flush() {
@@ -276,12 +267,10 @@ type AccessResult struct {
 // p-thread access moments before the main thread saves almost nothing,
 // while one issued a full memory latency ahead turns the miss into a hit.
 type Hierarchy struct {
-	cfg        HierarchyConfig
-	L1D        *Cache
-	L2         *Cache
-	trackFills bool
-	pending    map[uint32]uint64 // block address -> fill-ready time
-	pref       *prefTracker      // prefetch-usefulness accounting (timed only)
+	cfg  HierarchyConfig
+	L1D  *Cache
+	L2   *Cache
+	pref *prefTracker // prefetch-usefulness accounting; non-nil marks a timed hierarchy
 }
 
 // NewHierarchy builds an untimed hierarchy (functional profiling use).
@@ -293,8 +282,6 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // must use AccessAt with a monotonic clock.
 func NewTimedHierarchy(cfg HierarchyConfig) *Hierarchy {
 	h := NewHierarchy(cfg)
-	h.trackFills = true
-	h.pending = make(map[uint32]uint64)
 	h.pref = newPrefTracker()
 	return h
 }
@@ -324,19 +311,12 @@ func (h *Hierarchy) AccessAtPC(addr uint32, write bool, tid int, now uint64, pc 
 	block := h.L1D.BlockAddr(addr)
 	hit, _, line, victim := h.L1D.accessTrack(addr, write, tid)
 	if hit {
-		inFlight := false
-		if h.trackFills {
-			if ready, ok := h.pending[block]; ok {
-				if ready > now {
-					// Merge with the outstanding fill.
-					res.Latency = int(ready - now)
-					inFlight = true
-				} else {
-					delete(h.pending, block)
-				}
-			}
-		}
 		if h.pref != nil {
+			// Merge with the outstanding fill.
+			inFlight := line.ready > now
+			if inFlight {
+				res.Latency = int(line.ready - now)
+			}
 			h.pref.observeHit(line, tid, inFlight)
 		}
 		return res
@@ -346,15 +326,17 @@ func (h *Hierarchy) AccessAtPC(addr uint32, write bool, tid int, now uint64, pc 
 	}
 	res.L1Miss = true
 	res.Latency += h.cfg.L2.HitLatency
-	hit2, _ := h.L2.access(addr, write, tid)
+	hit2, _, line2, _ := h.L2.accessTrack(addr, write, tid)
 	if hit2 {
+		if line2.fillBlock == block {
+			line.ready = line2.ready
+		}
 		return res
 	}
 	res.L2Miss = true
 	res.Latency += h.cfg.MemLatency
-	if h.trackFills {
-		h.pending[block] = now + uint64(res.Latency)
-	}
+	line.ready = now + uint64(res.Latency)
+	line2.ready, line2.fillBlock = line.ready, block
 	return res
 }
 

@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// access is accessTrack without the line and victim.
+func (c *Cache) access(addr uint32, write bool, tid int) (hit, writeback bool) {
+	hit, writeback, _, _ = c.accessTrack(addr, write, tid)
+	return hit, writeback
+}
+
 func smallCache() *Cache {
 	return NewCache(CacheConfig{Name: "t", Sets: 4, BlockSize: 16, Ways: 2, HitLatency: 1})
 }

@@ -181,19 +181,6 @@ func (m *Memory) WriteBytes(addr uint32, b []byte) {
 	}
 }
 
-// ReadBytes copies n bytes starting at addr into a fresh slice.
-func (m *Memory) ReadBytes(addr uint32, n int) []byte {
-	out := make([]byte, n)
-	for i := 0; i < n; {
-		p := m.page(addr)
-		o := addr & pageMask
-		c := copy(out[i:], p[o:])
-		i += c
-		addr += uint32(c)
-	}
-	return out
-}
-
 // Clone returns a deep copy of the memory image (used to reuse one
 // initialized workload image across simulator configurations).
 func (m *Memory) Clone() *Memory {

@@ -80,10 +80,9 @@ func TestMemoryBytes(t *testing.T) {
 		data[i] = byte(i * 7)
 	}
 	m.WriteBytes(100, data)
-	got := m.ReadBytes(100, len(data))
 	for i := range data {
-		if got[i] != data[i] {
-			t.Fatalf("byte %d: got %d want %d", i, got[i], data[i])
+		if got := m.ReadU8(100 + uint32(i)); got != data[i] {
+			t.Fatalf("byte %d: got %d want %d", i, got, data[i])
 		}
 	}
 }

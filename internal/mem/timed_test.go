@@ -30,7 +30,7 @@ func TestTimedFillCompletedGivesFullHit(t *testing.T) {
 	if r.L1Miss || r.Latency != 1 {
 		t.Errorf("late consumer = %+v, want 1-cycle hit", r)
 	}
-	// The pending entry must be cleaned up.
+	// A completed fill stays a full hit.
 	r = h.AccessAt(0x4000, false, 0, 501)
 	if r.Latency != 1 {
 		t.Errorf("second consumer = %+v", r)
@@ -63,6 +63,26 @@ func TestTimedFillL2HitNotTracked(t *testing.T) {
 	r = h.AccessAt(0x4000, false, 0, 501)
 	if r.Latency != 1 {
 		t.Errorf("after L2 refill = %+v, want hit", r)
+	}
+}
+
+func TestTimedFillSurvivesL1EvictionInFlight(t *testing.T) {
+	h := NewTimedHierarchy(DefaultHierarchy())
+	h.AccessAt(0x4000, false, 0, 0) // full miss: fill ready at 133
+	// Evict from L1 while the fill is in flight (L1 set stride 8 KiB;
+	// each evicting block sits in a different L2 set).
+	for i := 1; i <= 4; i++ {
+		h.AccessAt(0x4000+uint32(i*8192), false, 0, 10)
+	}
+	// Refetch from L2 before the fill completes: the refetched line
+	// carries the fill's ready cycle.
+	r := h.AccessAt(0x4000, false, 0, 20)
+	if !r.L1Miss || r.L2Miss || r.Latency != 13 {
+		t.Fatalf("L2-served refetch = %+v", r)
+	}
+	r = h.AccessAt(0x4000, false, 0, 40)
+	if r.L1Miss || r.Latency != 133-40 {
+		t.Errorf("hit before the fill completes = %+v, want latency %d", r, 133-40)
 	}
 }
 

@@ -51,16 +51,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// ParseKind inverts Kind.String; ok is false for unknown names.
-func ParseKind(s string) (Kind, bool) {
-	for k, name := range kindNames {
-		if name == s {
-			return Kind(k), true
-		}
-	}
-	return 0, false
-}
-
 // Event flag bits.
 const (
 	FlagWrongPath uint8 = 1 << iota // fetched along a mispredicted path

@@ -37,31 +37,6 @@ func toJSON(e Event) jsonEvent {
 	}
 }
 
-func fromJSON(j jsonEvent) (Event, error) {
-	k, ok := ParseKind(j.Kind)
-	if !ok {
-		return Event{}, fmt.Errorf("obs: unknown event kind %q", j.Kind)
-	}
-	var flags uint8
-	if j.WrongPath {
-		flags |= FlagWrongPath
-	}
-	if j.Marked {
-		flags |= FlagMarked
-	}
-	return Event{
-		Cycle: j.Cycle,
-		Kind:  k,
-		Tid:   j.Tid,
-		PC:    j.PC,
-		Seq:   j.Seq,
-		Addr:  j.Addr,
-		Arg:   j.Arg,
-		Flags: flags,
-		Text:  j.Text,
-	}, nil
-}
-
 // JSONLWriter emits one JSON object per line.
 type JSONLWriter struct {
 	bw *bufio.Writer
@@ -102,25 +77,6 @@ func (w *JSONLWriter) Close() error {
 		}
 	}
 	return err
-}
-
-// ReadJSONL decodes a JSONL event stream (the inverse of JSONLWriter).
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	var out []Event
-	dec := json.NewDecoder(r)
-	for {
-		var j jsonEvent
-		if err := dec.Decode(&j); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, err
-		}
-		e, err := fromJSON(j)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, e)
-	}
 }
 
 // TextWriter renders events in the human pipeline-trace format that

@@ -97,16 +97,6 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// PThreadFor returns the p-thread whose delinquent load is at pc.
-func (p *Program) PThreadFor(pc int) (PThread, bool) {
-	for _, pt := range p.PThreads {
-		if pt.DLoad == pc {
-			return pt, true
-		}
-	}
-	return PThread{}, false
-}
-
 // Clone returns a deep copy (so the attach step never mutates the input
 // binary in place).
 func (p *Program) Clone() *Program {

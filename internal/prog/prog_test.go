@@ -91,16 +91,6 @@ func TestPThreadHasMember(t *testing.T) {
 	}
 }
 
-func TestPThreadFor(t *testing.T) {
-	p := sampleProgram()
-	if _, ok := p.PThreadFor(1); !ok {
-		t.Error("PThreadFor(1) missing")
-	}
-	if _, ok := p.PThreadFor(2); ok {
-		t.Error("PThreadFor(2) unexpectedly present")
-	}
-}
-
 func TestMarshalRoundTrip(t *testing.T) {
 	p := sampleProgram()
 	b, err := Marshal(p)
