@@ -101,27 +101,11 @@ func TestChaseGainsNothing(t *testing.T) {
 	}
 }
 
-// TestLeafPrefetchDetection checks the static leaf/chain classification
-// through its observable effect: on a gather kernel the p-thread context
-// drains fast enough to keep extraction continuous (sessions chain), which
-// only happens when the gather load is treated as fire-and-forget.
+// TestLeafVsChainClassification checks, on a compiled gather kernel, the
+// slice shape the simulator's leaf/chain classification rests on: the
+// gather's result feeds no slice member, the index load's does.
 func TestLeafVsChainClassification(t *testing.T) {
 	p := compileSPEAR(t, 3, 4)
-	// Build a sim to inspect the classification directly.
-	cfg := SPEARConfig(128, false)
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	s := &sim{cfg: cfg, prog: p}
-	s.marked = make([]bool, len(p.Text))
-	s.leafPLoad = make([]bool, len(p.Text))
-	s.ptFor = make([]*prog.PThread, len(p.Text))
-	// Reuse Run to populate: simpler to re-derive here the way Run does.
-	res, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = res
 	// The final gather (dload label) feeds nothing in the slice: leaf.
 	// The index load feeds the address chain: chain.
 	dload := p.Labels["dload"]
@@ -131,8 +115,6 @@ func TestLeafVsChainClassification(t *testing.T) {
 	for i := range p.PThreads {
 		pt := &p.PThreads[i]
 		for _, m := range pt.Members {
-			var srcs [4]uint8
-			_ = srcs
 			for _, r := range p.Text[m].Sources(nil) {
 				sourced[int(r)] = true
 			}

@@ -88,6 +88,7 @@ type Cache struct {
 	cfg      CacheConfig
 	lines    []cacheLine // sets*ways, set-major
 	setShift uint
+	tagShift uint // setShift + log2(Sets)
 	setMask  uint32
 	clock    uint64
 	Stats    CacheStats
@@ -107,6 +108,7 @@ func NewCache(cfg CacheConfig) *Cache {
 		cfg:      cfg,
 		lines:    make([]cacheLine, cfg.Sets*cfg.Ways),
 		setShift: shift,
+		tagShift: shift + uint(log2(cfg.Sets)),
 		setMask:  uint32(cfg.Sets - 1),
 	}
 }
@@ -135,7 +137,7 @@ type victimInfo struct {
 func (c *Cache) accessTrack(addr uint32, write bool, tid int) (hit, writeback bool, line *cacheLine, evicted victimInfo) {
 	c.clock++
 	set := (addr >> c.setShift) & c.setMask
-	tag := addr >> c.setShift >> uint(log2(c.cfg.Sets))
+	tag := addr >> c.tagShift
 	ways := c.lines[int(set)*c.cfg.Ways : int(set+1)*c.cfg.Ways]
 	c.Stats.Accesses[tid]++
 
@@ -181,13 +183,13 @@ func (c *Cache) accessTrack(addr uint32, write bool, tid int) (hit, writeback bo
 
 // lineBlockAddr reconstructs a line's block address from its set and tag.
 func (c *Cache) lineBlockAddr(set, tag uint32) uint32 {
-	return (tag<<uint(log2(c.cfg.Sets)) | set) << c.setShift
+	return tag<<c.tagShift | set<<c.setShift
 }
 
 // lineFor returns the resident line holding addr, or nil.
 func (c *Cache) lineFor(addr uint32) *cacheLine {
 	set := (addr >> c.setShift) & c.setMask
-	tag := addr >> c.setShift >> uint(log2(c.cfg.Sets))
+	tag := addr >> c.tagShift
 	ways := c.lines[int(set)*c.cfg.Ways : int(set+1)*c.cfg.Ways]
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {

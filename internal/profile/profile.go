@@ -15,7 +15,6 @@ import (
 
 	"spear/internal/cfg"
 	"spear/internal/emu"
-	"spear/internal/isa"
 	"spear/internal/mem"
 	"spear/internal/prog"
 )
@@ -77,13 +76,6 @@ type Result struct {
 	InstrExecs []uint64
 }
 
-// windowEntry is one retired instruction in the dependence window.
-type windowEntry struct {
-	pc    int
-	nprod int
-	prod  [4]uint64 // producer seq+1 values, never 0
-}
-
 // Run profiles the program in two functional passes: the first identifies
 // the delinquent loads; the second collects dependence edges for those
 // loads and the loop d-cycles.
@@ -101,7 +93,7 @@ func Run(p *prog.Program, g *cfg.Graph, cfgc Config) (*Result, error) {
 	if err := pass1(p, cfgc, res); err != nil {
 		return nil, err
 	}
-	if err := pass2(p, g, cfgc, res, mem.NewMemory()); err != nil {
+	if _, err := pass2(p, g, cfgc, res, mem.NewMemory()); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -160,36 +152,30 @@ func pass1(p *prog.Program, cfgc Config, res *Result) error {
 	return nil
 }
 
-// pass2 re-runs the program collecting dependence edges on d-load misses,
-// per-instruction execution counts, and loop d-cycles. Its per-instruction
-// path allocates nothing once the stack, the edge lists and the store
-// shadow's pages have grown.
+// pass2 re-runs the program counting per-instruction executions and loop
+// d-cycles and, when pass1 selected d-loads, the dependence edges crossed
+// by backward chases from their misses (depWindow, chase.go). It returns
+// that window, nil without a d-load, for tests to inspect. Its
+// per-instruction path touches no map and allocates nothing once the
+// chase stack, the edge table and the store shadow's pages have grown.
 //
 // lastStore, an empty memory, shadows data memory: the word at each
 // 8-byte-aligned address holds seq+1 of the last store to it, 0 if none.
-// Loads peek it, so it holds pages only where the program stores.
-func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result, lastStore *mem.Memory) error {
+// Loads peek it, so it holds pages only where the program stores. Without
+// a d-load nothing is chased, so pass2 keeps no window and leaves
+// lastStore empty.
+func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result, lastStore *mem.Memory) (*depWindow, error) {
 	isDLoad := make([]bool, len(p.Text))
 	for _, pc := range res.DLoads {
 		isDLoad[pc] = true
 	}
+	var deps *depWindow
+	if len(res.DLoads) > 0 {
+		deps = newDepWindow(cfgc.Window, len(p.Text), lastStore)
+	}
 
 	hier := mem.NewHierarchy(cfgc.Hierarchy)
 	m := emu.New(p)
-
-	// The window is a ring over the last Window retired instructions,
-	// stored in a power-of-two slice so a slot is seq&mask. Whether a
-	// producer is still in the window depends on Window alone, so the
-	// edges do not depend on the rounding.
-	winSize := uint64(cfgc.Window)
-	ringLen := uint64(1)
-	for ringLen < winSize {
-		ringLen <<= 1
-	}
-	mask := ringLen - 1
-	window := make([]windowEntry, ringLen)
-	lastWriter := make([]uint64, isa.NumRegs) // reg -> seq+1
-	const storeAlign = ^uint32(7)
 
 	// Precompute each instruction's chain of enclosing loops
 	// (innermost-first) and whether it starts a loop header block.
@@ -213,56 +199,6 @@ func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result, lastStore *m
 	latAcc := make([]float64, len(g.Loops))
 	iters := make([]uint64, len(g.Loops))
 
-	// edges[consumerPC] counts each static producer the chase crossed
-	// into it. A consumer has few static producers, so a linear search
-	// finds one faster than a map would.
-	type edge struct {
-		prod int
-		n    uint64
-	}
-	edges := make([][]edge, len(p.Text))
-	addEdge := func(cons, prod int) {
-		es := edges[cons]
-		for i := range es {
-			if es[i].prod == prod {
-				es[i].n++
-				return
-			}
-		}
-		edges[cons] = append(es, edge{prod, 1})
-	}
-
-	// chase walks backwards from entry e through window producers,
-	// recording every (consumer, producer) static edge it crosses. Only
-	// producers still in the window are pushed, so within one chase a
-	// slot names one instruction, and visited[slot] == gen marks it
-	// expanded.
-	var stack []uint64
-	visited := make([]uint64, ringLen)
-	var gen uint64
-	expand := func(w *windowEntry, seqNow uint64) {
-		for i := 0; i < w.nprod; i++ {
-			if sp := w.prod[i]; seqNow-(sp-1) < winSize {
-				addEdge(w.pc, window[(sp-1)&mask].pc)
-				stack = append(stack, sp)
-			}
-		}
-	}
-	chase := func(e *windowEntry, seqNow uint64) {
-		gen++
-		stack = stack[:0]
-		expand(e, seqNow)
-		for len(stack) > 0 {
-			slot := (stack[len(stack)-1] - 1) & mask
-			stack = stack[:len(stack)-1]
-			if visited[slot] != gen {
-				visited[slot] = gen
-				expand(&window[slot], seqNow)
-			}
-		}
-	}
-
-	var srcBuf [4]isa.Reg
 	m.Hook = func(ev *emu.Event) {
 		pc := ev.PC
 		in := ev.Instr
@@ -288,47 +224,16 @@ func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result, lastStore *m
 			latAcc[l] += lat
 		}
 
-		// Dependence window update.
-		seq := ev.Seq
-		e := &window[seq&mask]
-		e.pc = pc
-		e.nprod = 0
-		for _, r := range in.Sources(srcBuf[:0]) {
-			if w := lastWriter[r]; w != 0 && e.nprod < len(e.prod) {
-				e.prod[e.nprod] = w
-				e.nprod++
-			}
-		}
-		if in.Op.IsLoad() {
-			if w := lastStore.PeekU64(ev.Addr & storeAlign); w != 0 && e.nprod < len(e.prod) {
-				e.prod[e.nprod] = w
-				e.nprod++
-			}
-		}
-		if in.Op.IsStore() {
-			lastStore.WriteU64(ev.Addr&storeAlign, seq+1)
-		}
-		if rd, ok := in.Dest(); ok {
-			lastWriter[rd] = seq + 1
-		}
-
-		if missed && isDLoad[pc] {
-			chase(e, seq)
+		if deps != nil {
+			deps.retire(ev, missed && isDLoad[pc])
 		}
 	}
 	if err := m.Run(cfgc.MaxInstr); err != nil && err != emu.ErrLimit {
-		return fmt.Errorf("profile pass 2: %w", err)
+		return nil, fmt.Errorf("profile pass 2: %w", err)
 	}
 
-	for cons, es := range edges {
-		if len(es) == 0 {
-			continue
-		}
-		prods := make(map[int]uint64, len(es))
-		for _, e := range es {
-			prods[e.prod] = e.n
-		}
-		res.Deps[cons] = prods
+	if deps != nil {
+		res.Deps = deps.finish(m.Count)
 	}
 	for l, it := range iters {
 		if it > 0 {
@@ -336,5 +241,5 @@ func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result, lastStore *m
 			res.LoopDCycles[l] = latAcc[l] / float64(it)
 		}
 	}
-	return nil
+	return deps, nil
 }

@@ -353,24 +353,9 @@ loop:   ld   r4, 0(r1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := cfg.Build(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := testConfig()
-	res := &Result{
-		LoadStats:   map[int]*LoadStat{},
-		Deps:        map[int]map[int]uint64{},
-		LoopDCycles: map[int]float64{},
-		LoopIters:   map[int]uint64{},
-		InstrExecs:  make([]uint64, len(p.Text)),
-	}
-	if err := pass1(p, c, res); err != nil {
-		t.Fatal(err)
-	}
-	shadow := mem.NewMemory()
-	if err := pass2(p, g, c, res, shadow); err != nil {
-		t.Fatal(err)
+	_, d, shadow := runPasses(t, p, testConfig())
+	if d == nil {
+		t.Fatal("no d-load selected; the pass kept no window")
 	}
 	if n := shadow.Pages(); n != 0 {
 		t.Errorf("store shadow holds %d pages after a load-only pass over 16 pages, want 0", n)

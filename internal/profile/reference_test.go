@@ -84,20 +84,7 @@ loop:   mul  r5, r3, r3
 			c.MissThreshold = 8
 			c.MaxDLoads = 0
 			c.Window = window
-			got, err := Run(in.p, g, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, pages, err := referenceRun(in.p, g, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gv, wv := reflect.ValueOf(*got), reflect.ValueOf(*want)
-			for i := 0; i < gv.NumField(); i++ {
-				if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
-					t.Errorf("%s, window %d: Result.%s differs from the reference", in.name, window, gv.Type().Field(i).Name)
-				}
-			}
+			got, pages := matchReference(t, fmt.Sprintf("%s, window %d", in.name, window), in.p, g, c)
 			chased = chased || len(got.Deps) > 0
 			multiPage = multiPage || pages > 1
 		}
@@ -108,6 +95,28 @@ loop:   mul  r5, r3, r3
 	if !multiPage {
 		t.Error("no program stored to more than one 64 KiB page")
 	}
+}
+
+// matchReference reports every Result field in which Run differs from
+// referenceRun on p under c. It returns Run's result and how many 64 KiB
+// pages the program's stores touched.
+func matchReference(t *testing.T, name string, p *prog.Program, g *cfg.Graph, c Config) (*Result, int) {
+	t.Helper()
+	got, err := Run(p, g, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, pages, err := referenceRun(p, g, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gv, wv := reflect.ValueOf(*got), reflect.ValueOf(*want)
+	for i := 0; i < gv.NumField(); i++ {
+		if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+			t.Errorf("%s: Result.%s differs from the reference", name, gv.Type().Field(i).Name)
+		}
+	}
+	return got, pages
 }
 
 // referenceEntry is one retired instruction in the reference window.

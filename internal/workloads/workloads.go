@@ -149,21 +149,28 @@ func build(name, src string) (*prog.Program, *filler, error) {
 }
 
 // filler writes typed values into the program's data image by symbol.
+// A fill loop writes one symbol many times, so the last symbol resolved
+// is kept with its offset in the image.
 type filler struct {
-	p   *prog.Program
-	err error
+	p      *prog.Program
+	err    error
+	sym    string
+	symOff uint32
 }
 
 func (f *filler) offset(sym string, idx int, size uint32) (uint32, bool) {
 	if f.err != nil {
 		return 0, false
 	}
-	addr, ok := f.p.Symbols[sym]
-	if !ok {
-		f.err = fmt.Errorf("unknown data symbol %q", sym)
-		return 0, false
+	if sym != f.sym || f.sym == "" {
+		addr, ok := f.p.Symbols[sym]
+		if !ok {
+			f.err = fmt.Errorf("unknown data symbol %q", sym)
+			return 0, false
+		}
+		f.sym, f.symOff = sym, addr-f.p.Data[0].Addr
 	}
-	off := addr - f.p.Data[0].Addr + uint32(idx)*size
+	off := f.symOff + uint32(idx)*size
 	if int(off)+int(size) > len(f.p.Data[0].Bytes) {
 		f.err = fmt.Errorf("write to %s[%d] overflows data image", sym, idx)
 		return 0, false
