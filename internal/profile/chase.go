@@ -81,7 +81,17 @@ type depWindow struct {
 	steps  uint64      // nodes entered by all chases
 }
 
-func newDepWindow(window, textLen int, lastStore *mem.Memory) *depWindow {
+// newDepWindow returns the window for pass2 over a text of textLen
+// instructions, or nil when res holds no d-load: then nothing is chased,
+// so pass2 keeps no window and leaves lastStore empty.
+//
+// lastStore, an empty memory, shadows data memory: the word at each
+// 8-byte-aligned address holds seq+1 of the last store to it, 0 if none.
+// Loads peek it, so it holds pages only where the program stores.
+func newDepWindow(res *Result, window, textLen int, lastStore *mem.Memory) *depWindow {
+	if len(res.DLoads) == 0 {
+		return nil
+	}
 	ringLen := 1
 	for ringLen < window {
 		ringLen <<= 1

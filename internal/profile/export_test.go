@@ -8,9 +8,10 @@ import (
 	"spear/internal/prog"
 )
 
-// runPasses runs Run's two passes over p with a fresh store shadow. It
-// returns the result, pass2's dependence window (nil without a d-load)
-// and the shadow, so that tests can see what the chase did.
+// runPasses runs Run's two passes over p as Run does, with a store shadow
+// of its own. It returns the result, pass2's dependence window (nil
+// without a d-load) and the shadow, so that tests can see what the chase
+// did.
 func runPasses(t *testing.T, p *prog.Program, c Config) (*Result, *depWindow, *mem.Memory) {
 	t.Helper()
 	g, err := cfg.Build(p)
@@ -28,8 +29,8 @@ func runPasses(t *testing.T, p *prog.Program, c Config) (*Result, *depWindow, *m
 		t.Fatal(err)
 	}
 	shadow := mem.NewMemory()
-	d, err := pass2(p, g, c, res, shadow)
-	if err != nil {
+	d := newDepWindow(res, c.Window, len(p.Text), shadow)
+	if err := pass2(p, g, c, res, d); err != nil {
 		t.Fatal(err)
 	}
 	return res, d, shadow

@@ -93,7 +93,8 @@ func Run(p *prog.Program, g *cfg.Graph, cfgc Config) (*Result, error) {
 	if err := pass1(p, cfgc, res); err != nil {
 		return nil, err
 	}
-	if _, err := pass2(p, g, cfgc, res, mem.NewMemory()); err != nil {
+	deps := newDepWindow(res, cfgc.Window, len(p.Text), mem.NewMemory())
+	if err := pass2(p, g, cfgc, res, deps); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -153,25 +154,15 @@ func pass1(p *prog.Program, cfgc Config, res *Result) error {
 }
 
 // pass2 re-runs the program counting per-instruction executions and loop
-// d-cycles and, when pass1 selected d-loads, the dependence edges crossed
-// by backward chases from their misses (depWindow, chase.go). It returns
-// that window, nil without a d-load, for tests to inspect. Its
-// per-instruction path touches no map and allocates nothing once the
-// chase stack, the edge table and the store shadow's pages have grown.
-//
-// lastStore, an empty memory, shadows data memory: the word at each
-// 8-byte-aligned address holds seq+1 of the last store to it, 0 if none.
-// Loads peek it, so it holds pages only where the program stores. Without
-// a d-load nothing is chased, so pass2 keeps no window and leaves
-// lastStore empty.
-func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result, lastStore *mem.Memory) (*depWindow, error) {
+// d-cycles and, unless deps is nil (pass1 selected no d-load), the
+// dependence edges crossed by backward chases from d-load misses through
+// deps (chase.go). Its per-instruction path touches no map and allocates
+// nothing once the chase stack, the edge table and the store shadow's
+// pages have grown.
+func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result, deps *depWindow) error {
 	isDLoad := make([]bool, len(p.Text))
 	for _, pc := range res.DLoads {
 		isDLoad[pc] = true
-	}
-	var deps *depWindow
-	if len(res.DLoads) > 0 {
-		deps = newDepWindow(cfgc.Window, len(p.Text), lastStore)
 	}
 
 	hier := mem.NewHierarchy(cfgc.Hierarchy)
@@ -229,7 +220,7 @@ func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result, lastStore *m
 		}
 	}
 	if err := m.Run(cfgc.MaxInstr); err != nil && err != emu.ErrLimit {
-		return nil, fmt.Errorf("profile pass 2: %w", err)
+		return fmt.Errorf("profile pass 2: %w", err)
 	}
 
 	if deps != nil {
@@ -241,5 +232,5 @@ func pass2(p *prog.Program, g *cfg.Graph, cfgc Config, res *Result, lastStore *m
 			res.LoopDCycles[l] = latAcc[l] / float64(it)
 		}
 	}
-	return deps, nil
+	return nil
 }
